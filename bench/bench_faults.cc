@@ -307,9 +307,9 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // Fault runs must be bit-identical serial vs pooled, exactly
-    // like fault-free fleets (fault_test pins the full surface; the
-    // bench spot-checks the headline fields on one faulty cell).
+    // Fault runs must be bit-identical serial vs pooled (fault_test
+    // pins the full surface; the bench spot-checks the headline
+    // fields on one faulty cell).
     if (args.threads > 1) {
         FaultConfig probe{4, RoutePolicy::LeastLoaded,
                           args.smoke ? 1.0 : 0.25};

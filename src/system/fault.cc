@@ -50,15 +50,6 @@ faultKindName(FaultEvent::Kind kind)
     return "?";
 }
 
-bool
-FaultSchedule::empty() const
-{
-    for (const auto &events : replicas)
-        if (!events.empty())
-            return false;
-    return true;
-}
-
 std::size_t
 FaultSchedule::eventCount() const
 {

@@ -15,8 +15,8 @@
  * The schedule itself is passive data. All timing semantics — when
  * an event takes effect relative to the fleet's conservative window
  * barriers, what happens to in-flight work — live in the fleet's
- * state machine (system/fleet.hh); an empty schedule leaves the
- * fleet bit-identical to a fault-free run.
+ * state machine (system/fleet.hh); an empty schedule never fires a
+ * transition.
  */
 
 #ifndef PIMPHONY_SYSTEM_FAULT_HH
@@ -94,8 +94,6 @@ std::string faultKindName(FaultEvent::Kind kind);
 struct FaultSchedule
 {
     std::vector<std::vector<FaultEvent>> replicas;
-
-    bool empty() const;
 
     /** Total events across all replicas. */
     std::size_t eventCount() const;

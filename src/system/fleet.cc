@@ -50,6 +50,7 @@ FleetEngine::FleetEngine(const ClusterConfig &cluster,
               "event-driven step model");
     if (options_.dispatchLatencySeconds < 0.0)
         fatal("FleetEngine: negative dispatch latency");
+    options_.faults.validate(options_.replicas);
     sortByArrival(trace_);
 }
 
@@ -94,14 +95,12 @@ FleetEngine::pickReplica(const TimedRequest &timed)
             // then the lower index. All-cold requests drop through
             // to the exact least-loaded decision, so the policy is
             // decision-identical to LeastLoaded when caching is off.
-            if (engines_ == nullptr)
-                panic("fleet: prefix-affinity routing outside run()");
             Tokens warmest = 0;
             for (std::size_t i = 0; i < R; ++i) {
                 if (!routable_[i])
                     continue;
                 Tokens warm =
-                    (*engines_)[i]->prefixWarmTokens(timed.request);
+                    engines_[i]->prefixWarmTokens(timed.request);
                 if (warm > warmest ||
                     (warm == warmest && warm > 0 && best != R &&
                      loads_[i] < loads_[best])) {
@@ -120,8 +119,12 @@ FleetEngine::pickReplica(const TimedRequest &timed)
                                 timed.request.decodeTokens);
         pick = best;
     }
-    if (session != kNoSession)
+    if (session != kNoSession) {
+        // Count the pin as it is made: a session re-pinned after a
+        // fault counts toward every replica that served it.
         sessionReplica_.emplace(session, pick);
+        ++fleet_.routedSessions[pick];
+    }
     return pick;
 }
 
@@ -141,10 +144,7 @@ FleetEngine::run()
     ran_ = true;
 
     const std::size_t R = options_.replicas;
-    const double d = options_.dispatchLatencySeconds;
-
-    std::vector<std::unique_ptr<ServingEngine>> engines;
-    engines.reserve(R);
+    engines_.reserve(R);
     for (std::size_t i = 0; i < R; ++i) {
         auto eng = std::make_unique<ServingEngine>(
             cluster_, model_, std::vector<TimedRequest>{},
@@ -160,14 +160,10 @@ FleetEngine::run()
         if (!sessions_.empty())
             eng->declareSessionTurns(sessions_);
         eng->prepare();
-        engines.push_back(std::move(eng));
+        engines_.push_back(std::move(eng));
     }
-    // Warmth probes for PrefixAffinity routing. `engines` is local
-    // to run(), so the view must be cleared before returning or the
-    // pointer dangles.
-    engines_ = &engines;
 
-    FleetResult fleet;
+    FleetResult &fleet = fleet_;
     fleet.routedRequests.assign(R, 0);
     fleet.routedSessions.assign(R, 0);
     loads_.assign(R, 0.0);
@@ -175,107 +171,13 @@ FleetEngine::run()
     routable_.assign(R, 1);
     downIntervals_.assign(R, {});
 
-    std::vector<std::vector<TimedRequest>> batches(R);
-    std::size_t next = 0; // next unrouted trace index
-
-    auto refreshLoads = [&]() {
-        if (!usesLoads())
-            return;
-        for (std::size_t i = 0; i < R; ++i)
-            loads_[i] = engines[i]->queuedTokens();
-    };
-    auto routeDue = [&](double barrier, double delay) {
-        for (std::size_t i = 0; i < R; ++i)
-            batches[i].clear();
-        while (next < trace_.size() &&
-               trace_[next].arrivalSeconds <= barrier) {
-            TimedRequest timed = trace_[next++];
-            std::size_t r = pickReplica(timed);
-            timed.arrivalSeconds += delay;
-            batches[r].push_back(timed);
-            ++fleet.routedRequests[r];
-        }
-        for (std::size_t i = 0; i < R; ++i)
-            if (!batches[i].empty())
-                engines[i]->injectArrivals(batches[i]);
-    };
-    if (!options_.faults.empty()) {
-        // Fault injection takes the state-machine loop; the
-        // fault-free paths below stay untouched so an empty schedule
-        // is bit-identical to the pre-fault fleet.
-        runWithFaults(engines, fleet, next);
-    } else if (d <= 0.0) {
-        // Zero lookahead: serial lockstep. For each distinct arrival
-        // time, advance every replica to it (index order), route
-        // with replica state at that instant, inject with no delay.
-        while (next < trace_.size()) {
-            double t = trace_[next].arrivalSeconds;
-            for (auto &eng : engines)
-                eng->advanceTo(t);
-            refreshLoads();
-            routeDue(t, 0.0);
-            ++fleet.windows;
-        }
-        for (auto &eng : engines)
-            eng->advanceTo(std::numeric_limits<double>::infinity());
-        ++fleet.windows; // final drain
-    } else {
-        // Conservative windows of width W = d. At barrier B_j route
-        // everything with t <= B_j (delivery t + d <= B_{j+1}), then
-        // advance all replicas to B_{j+1} in parallel: every event
-        // inside the window is already known to its replica.
-        //
-        // Router-idle barriers are skipped: a barrier that routes
-        // nothing neither reads nor changes replica state, so
-        // advancing straight to the next barrier with a routable
-        // arrival dispatches the identical event sequence (runUntil
-        // horizons compose) while batching the per-window pool
-        // hand-off into usefully large chunks of work.
-        SweepRunner runner(options_.threads);
-        std::uint64_t j = 0;
-        while (next < trace_.size()) {
-            double t_next = trace_[next].arrivalSeconds;
-            if (t_next > 0.0) {
-                // First barrier that can route t_next (t <= j * W).
-                auto jump = static_cast<std::uint64_t>(
-                    std::ceil(t_next / d));
-                // FP rounding may land one barrier short; the loop
-                // below routes nothing there and retries at the
-                // next, so correctness is unaffected either way.
-                j = std::max(j, jump);
-            }
-            // Advance everyone to the routing barrier first (one
-            // batched parallel advance across the skipped idle
-            // windows), so the router reads replica state — the
-            // least-loaded signal — at exactly the barrier instant,
-            // as an unbatched window-by-window loop would.
-            double barrier = static_cast<double>(j) * d;
-            runner.forEach(R, [&](std::size_t i) {
-                engines[i]->advanceTo(barrier);
-            });
-            refreshLoads();
-            // Deliveries land in (B_j, B_{j+1}]: ahead of every
-            // replica's advanced horizon, never behind it.
-            routeDue(barrier, d);
-            ++fleet.windows;
-            ++j;
-        }
-        // Every request is routed and injected, so no cross-replica
-        // event can occur again: the remaining work is one
-        // independent drain per replica.
-        runner.forEach(R, [&](std::size_t i) {
-            engines[i]->advanceTo(
-                std::numeric_limits<double>::infinity());
-        });
-        ++fleet.windows;
-    }
+    drive();
 
     fleet.replicas.reserve(R);
-    for (auto &eng : engines)
+    for (auto &eng : engines_)
         fleet.replicas.push_back(eng->finalize());
+    engines_.clear();
     fleet.aggregate = aggregateResults(fleet.replicas);
-    for (const auto &kv : sessionReplica_)
-        ++fleet.routedSessions[kv.second];
 
     // Goodput: decode tokens of requests that actually completed
     // somewhere (integer sums, so iteration order cannot perturb
@@ -316,21 +218,17 @@ FleetEngine::run()
                 std::min(std::max(1.0 - down / makespan, 0.0), 1.0);
         }
     }
-    engines_ = nullptr; // the probed vector dies with this frame
-    return fleet;
+    return std::move(fleet);
 }
 
 void
-FleetEngine::runWithFaults(
-    std::vector<std::unique_ptr<ServingEngine>> &engines,
-    FleetResult &fleet, std::size_t &next)
+FleetEngine::drive()
 {
     const std::size_t R = options_.replicas;
     const double d = options_.dispatchLatencySeconds;
     const bool windowed = d > 0.0;
     const double inf = std::numeric_limits<double>::infinity();
-
-    options_.faults.validate(options_.replicas);
+    FleetResult &fleet = fleet_;
 
     // Normalize the schedule into one global transition list: each
     // scripted event expands to its state-machine edges (a draining
@@ -385,6 +283,7 @@ FleetEngine::runWithFaults(
                          return a.at < b.at;
                      });
     std::size_t next_tr = 0;
+    std::size_t next = 0; // next unrouted trace index
 
     std::deque<PendingRetry> retries; // nondecreasing arrival order
     std::unordered_map<RequestId, unsigned> attempts;
@@ -437,6 +336,18 @@ FleetEngine::runWithFaults(
             std::max(timed.arrivalSeconds, at) + backoff;
         retries.push_back(again);
     };
+    auto requeue = [&](std::size_t r, bool kill, double at) {
+        // Pull replica r's queued work (and, on a kill, its in-flight
+        // work) off for re-routing; true if anything was displaced.
+        auto ev = engines_[r]->evacuate(kill);
+        fleet.evacuatedRequests += ev.queued.size();
+        fleet.lostTokens += ev.lostTokens;
+        for (const TimedRequest &timed : ev.queued)
+            queue_retry(timed, at);
+        for (const TimedRequest &timed : ev.inFlight)
+            queue_retry(timed, at);
+        return !ev.queued.empty() || !ev.inFlight.empty();
+    };
     auto sort_retries = [&]() {
         std::stable_sort(retries.begin(), retries.end(),
                          [](const PendingRetry &a,
@@ -450,16 +361,9 @@ FleetEngine::runWithFaults(
         // releases (a predecessor completed just before the fault);
         // migrate anything that queued up on them.
         bool swept = false;
-        for (std::size_t r = 0; r < R; ++r) {
-            if (routable_[r])
-                continue;
-            auto ev = engines[r]->evacuate(false);
-            fleet.evacuatedRequests += ev.queued.size();
-            for (const TimedRequest &timed : ev.queued) {
-                queue_retry(timed, at);
+        for (std::size_t r = 0; r < R; ++r)
+            if (!routable_[r] && requeue(r, false, at))
                 swept = true;
-            }
-        }
         return swept;
     };
     auto apply_transitions = [&](double barrier) {
@@ -467,40 +371,29 @@ FleetEngine::runWithFaults(
             const Transition &tr = plan[next_tr++];
             std::size_t r = tr.replica;
             switch (tr.kind) {
-              case kDrainStart: {
+              case kDrainStart:
                 health_[r] = ReplicaHealth::Draining;
                 set_unroutable(r, tr.at);
                 // Graceful drain: queued work migrates now,
                 // in-flight work keeps the grace period.
-                auto ev = engines[r]->evacuate(false);
-                fleet.evacuatedRequests += ev.queued.size();
-                for (const TimedRequest &timed : ev.queued)
-                    queue_retry(timed, tr.at);
+                requeue(r, false, tr.at);
                 drop_pins(r);
                 break;
-              }
-              case kKill: {
+              case kKill:
                 health_[r] = ReplicaHealth::Down;
                 set_unroutable(r, tr.at);
-                auto ev = engines[r]->evacuate(true);
-                fleet.evacuatedRequests += ev.queued.size();
-                fleet.lostTokens += ev.lostTokens;
-                for (const TimedRequest &timed : ev.queued)
-                    queue_retry(timed, tr.at);
-                for (const TimedRequest &timed : ev.inFlight)
-                    queue_retry(timed, tr.at);
+                requeue(r, true, tr.at);
                 drop_pins(r);
                 break;
-              }
               case kDegradeStart:
                 if (health_[r] == ReplicaHealth::Up)
                     health_[r] = ReplicaHealth::Degraded;
-                engines[r]->setServiceRateScale(tr.value);
+                engines_[r]->setServiceRateScale(tr.value);
                 break;
               case kDegradeEnd:
                 if (health_[r] == ReplicaHealth::Degraded)
                     health_[r] = ReplicaHealth::Up;
-                engines[r]->setServiceRateScale(1.0);
+                engines_[r]->setServiceRateScale(1.0);
                 break;
               case kReloadStart:
                 if (health_[r] == ReplicaHealth::Down)
@@ -508,8 +401,8 @@ FleetEngine::runWithFaults(
                 break;
               case kReloadDone:
                 // Fresh process: full speed, accepting traffic.
-                engines[r]->setServiceRateScale(1.0);
-                engines[r]->restoreService();
+                engines_[r]->setServiceRateScale(1.0);
+                engines_[r]->restoreService();
                 health_[r] = ReplicaHealth::Up;
                 fleet.reloadSeconds += tr.value;
                 set_routable(r, tr.at);
@@ -523,19 +416,18 @@ FleetEngine::runWithFaults(
         if (!usesLoads())
             return;
         for (std::size_t i = 0; i < R; ++i)
-            loads_[i] = engines[i]->queuedTokens();
+            loads_[i] = engines_[i]->queuedTokens();
     };
     auto route_due = [&](double barrier) {
         // Merge the trace and retry streams in arrival order and
-        // route everything due. Deliveries keep the fault-free
-        // stamp (arrival + d) clamped up to the barrier: a backlog
+        // route everything due. Deliveries land at arrival + d,
+        // clamped up to the barrier: in-order flow always has
+        // arrival + d > barrier (delivery inside the next window,
+        // ahead of every replica's advanced horizon), but a backlog
         // held through an outage may carry arrivals older than the
-        // replicas' advanced horizons, and the clamp keeps every
-        // injection at or ahead of them — the conservative-ordering
-        // contract injectArrivals requires. In-order flow always
-        // has arrival + d > barrier, so a schedule whose faults
-        // never displace work routes bit-identically to the
-        // fault-free loop.
+        // horizons, and the clamp keeps every injection at or ahead
+        // of them — the conservative-ordering contract
+        // injectArrivals requires.
         for (std::size_t i = 0; i < R; ++i)
             batches[i].clear();
         for (;;) {
@@ -566,20 +458,17 @@ FleetEngine::runWithFaults(
         }
         for (std::size_t i = 0; i < R; ++i)
             if (!batches[i].empty())
-                engines[i]->injectArrivals(batches[i]);
+                engines_[i]->injectArrivals(batches[i]);
     };
 
-    // Lockstep (d <= 0) advances serially in index order exactly as
-    // the fault-free path does; the pool only exists for windows.
+    // Zero lookahead makes every barrier a routing point, so there
+    // is no window to parallelize: the pool is bypassed and the
+    // replicas advance inline in index order.
     SweepRunner runner(windowed ? options_.threads : 1);
     auto advance_all = [&](double horizon) {
-        if (windowed)
-            runner.forEach(R, [&](std::size_t i) {
-                engines[i]->advanceTo(horizon);
-            });
-        else
-            for (auto &eng : engines)
-                eng->advanceTo(horizon);
+        runner.forEach(R, [&](std::size_t i) {
+            engines_[i]->advanceTo(horizon);
+        });
     };
 
     std::uint64_t j = 0;
@@ -609,6 +498,13 @@ FleetEngine::runWithFaults(
             retries.clear();
             break;
         }
+        // Lockstep barriers sit at t_next itself. Windowed barriers
+        // skip the router-idle ones: a barrier that routes nothing
+        // neither reads nor changes replica state, so jumping to the
+        // first barrier that can act on t_next (t <= j * W)
+        // dispatches the identical event sequence (runUntil horizons
+        // compose). FP rounding may land one barrier short; that
+        // round acts on nothing and the next one retries.
         double barrier;
         if (windowed) {
             if (t_next > 0.0)
@@ -618,6 +514,8 @@ FleetEngine::runWithFaults(
         } else {
             barrier = t_next;
         }
+        // Everyone reaches the barrier before the router reads the
+        // replicas' state there.
         advance_all(barrier);
         apply_transitions(barrier);
         refresh_loads();
@@ -635,7 +533,7 @@ FleetEngine::runWithFaults(
         advance_all(inf);
         ++fleet.windows;
         double at = 0.0;
-        for (const auto &eng : engines)
+        for (const auto &eng : engines_)
             at = std::max(at, eng->now());
         if (!sweep_strays(at))
             break;

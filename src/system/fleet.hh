@@ -26,6 +26,12 @@
  * Parallel advance would be fruitless there (every barrier is a
  * routing point), so the thread pool is bypassed regardless of the
  * configured thread count.
+ *
+ * One drive loop serves every configuration. Replica faults
+ * (system/fault.hh) are transitions of a per-replica health state
+ * machine applied at the same barriers, and work they displace
+ * re-enters the router as retries merged with the trace; a schedule
+ * with no events simply never fires a transition.
  */
 
 #ifndef PIMPHONY_SYSTEM_FLEET_HH
@@ -119,9 +125,9 @@ struct FleetOptions
     EngineOptions engine;
 
     /**
-     * Fault injection (system/fault.hh). An empty schedule runs the
-     * fault-free fleet code path and is bit-identical, field for
-     * field, to a FleetEngine without the fault subsystem.
+     * Fault injection (system/fault.hh): scripted health
+     * transitions, applied at the window barriers. Validated against
+     * the fleet size at construction.
      */
     FaultSchedule faults;
 
@@ -163,17 +169,19 @@ struct FleetResult
     std::vector<std::uint64_t> routedRequests;
 
     /**
-     * Distinct sessions pinned to each replica, in replica index
-     * order (all zeros for a session-free trace). A session counts
-     * toward the replica its first-routed turn landed on; later
-     * turns follow the pin.
+     * Session pins made to each replica, in replica index order
+     * (all zeros for a session-free trace). A session counts toward
+     * the replica its first-routed turn landed on, and again toward
+     * each replica it re-pins to after a fault; without faults every
+     * session counts exactly once.
      */
     std::vector<std::uint64_t> routedSessions;
 
     /**
      * Synchronization rounds executed: parallel window advances
      * under positive lookahead, per-arrival-time lockstep barriers
-     * under zero lookahead, plus the final drain in both modes.
+     * under zero lookahead (fault transitions add their own
+     * barriers), plus one per drain pass.
      * Router-idle barriers (nothing routable at or before them) are
      * skipped — they neither read nor change replica state, so
      * jumping to the next router-active barrier dispatches the
@@ -183,7 +191,7 @@ struct FleetResult
     std::uint64_t windows = 0;
 
     // --- Fault-tolerance metrics. All zeros / trivial (availability
-    // --- 1.0, empty histogram) without a fault schedule.
+    // --- 1.0, all-zero histogram) when no fault displaced work.
 
     /**
      * Per-replica up-time fraction of the fleet makespan: the share
@@ -219,7 +227,8 @@ struct FleetResult
     /**
      * retryHistogram[k] = requests re-routed exactly k times
      * (capped at retryBudget; the k = 0 bucket is used only when
-     * retryBudget is 0). Empty without a fault schedule.
+     * retryBudget is 0). Always retryBudget + 1 buckets, all zero
+     * when no fault displaced work.
      */
     std::vector<std::uint64_t> retryHistogram;
 
@@ -258,9 +267,9 @@ class FleetEngine
      * Route one request: returns the chosen replica index. Only
      * routable replicas (routable_[i] != 0) are considered; a
      * session pinned to an unroutable replica is un-pinned and
-     * re-pinned by policy. Callers guarantee at least one replica
-     * is routable. With every replica routable the decisions are
-     * identical to the pre-fault router.
+     * re-pinned by policy. Each new pin is counted in
+     * FleetResult::routedSessions. Callers guarantee at least one
+     * replica is routable.
      */
     std::size_t pickReplica(const TimedRequest &timed);
 
@@ -271,10 +280,11 @@ class FleetEngine
         unsigned attempts = 0;
     };
 
-    /** The conservative-window run loop with fault transitions. */
-    void runWithFaults(
-        std::vector<std::unique_ptr<ServingEngine>> &engines,
-        FleetResult &fleet, std::size_t &next);
+    /**
+     * The drive loop: advance to each router-active barrier, apply
+     * fault transitions, route due arrivals and retries, then drain.
+     */
+    void drive();
 
     /** Fleet-level aggregate of @p results (see FleetResult). */
     static EngineResult
@@ -296,16 +306,17 @@ class FleetEngine
      *  and PrefixAffinity). */
     std::vector<double> loads_;
 
-    /** Replica view for warmth probes (PrefixAffinity); set for the
-     *  lifetime of run(). */
-    const std::vector<std::unique_ptr<ServingEngine>> *engines_ =
-        nullptr;
+    /** Replica engines in index order; built by run() and cleared
+     *  before it returns. */
+    std::vector<std::unique_ptr<ServingEngine>> engines_;
 
-    /** Health state machine, one entry per replica (fault runs). */
+    /** The result run() is building. */
+    FleetResult fleet_;
+
+    /** Health state machine, one entry per replica. */
     std::vector<ReplicaHealth> health_;
 
-    /** 1 while the replica accepts traffic (Up or Degraded). All 1
-     *  without faults, so the router is decision-identical. */
+    /** 1 while the replica accepts traffic (Up or Degraded). */
     std::vector<char> routable_;
 
     /** Unroutable intervals per replica, by nominal fault time; an

@@ -5,17 +5,19 @@
  * routing, and the fault metrics.
  *
  * The acceptance properties:
- *  (a) additivity — an empty FaultSchedule is bit-identical, field
- *      for field, to the pre-fault fleet, and a schedule whose
- *      faults never displace work (slowdown-1.0 brown-out) routes
- *      and serves bit-identically through the fault loop;
+ *  (a) additivity — an empty FaultSchedule, with or without empty
+ *      per-replica slots, fires no transition and reports trivial
+ *      fault metrics, and a schedule whose faults never displace
+ *      work (slowdown-1.0 brown-out) routes and serves
+ *      bit-identically to a fault-free fleet;
  *  (b) a T-thread fault run is bit-identical to a serial one, for
  *      both routing policies, fault metrics included;
  *  (c) accounting — every generated request is completed, lost, or
  *      rejected, exactly once, and generatedTokens decomposes into
  *      goodputTokens + lostTokens under crash-mid-decode failover;
- *  (d) drain evacuations, stranded session successors, availability
- *      and reload accounting behave as scripted.
+ *  (d) drain evacuations, stranded session successors, session pin
+ *      counts, availability and reload accounting behave as
+ *      scripted.
  */
 
 #include <gtest/gtest.h>
@@ -126,10 +128,7 @@ expectSameFleet(const FleetResult &a, const FleetResult &b)
     EXPECT_EQ(a.lostRequests, b.lostRequests);
     EXPECT_EQ(a.lostTokens, b.lostTokens);
     EXPECT_EQ(a.reloadSeconds, b.reloadSeconds);
-    // retryHistogram is compared by the callers that expect both
-    // sides to have run the fault loop: the fault-free path reports
-    // no histogram at all, a displacement-free fault run an all-zero
-    // one.
+    EXPECT_EQ(a.retryHistogram, b.retryHistogram);
 }
 
 // --- FaultSchedule: generation and validation. -------------------------
@@ -241,7 +240,11 @@ TEST(FleetFaults, EmptyScheduleIsBitIdenticalToFaultFreeFleet)
     EXPECT_EQ(faulty.retriedRequests, 0u);
     EXPECT_EQ(faulty.lostRequests, 0u);
     EXPECT_EQ(faulty.lostTokens, 0u);
-    EXPECT_TRUE(faulty.retryHistogram.empty());
+    // One bucket per budget notch, all zero.
+    ASSERT_EQ(faulty.retryHistogram.size(),
+              std::size_t{fopts.retryBudget} + 1);
+    for (std::uint64_t n : faulty.retryHistogram)
+        EXPECT_EQ(n, 0u);
     EXPECT_EQ(faulty.reloadSeconds, 0.0);
     EXPECT_EQ(faulty.aggregate.completedRequests, trace.size());
     // Everything completed, so goodput equals the decode total.
@@ -322,7 +325,6 @@ TEST(FleetFaults, ParallelFaultRunMatchesSerialBothPolicies)
 
         EXPECT_EQ(serial.windows, parallel.windows);
         expectSameFleet(serial, parallel);
-        EXPECT_EQ(serial.retryHistogram, parallel.retryHistogram);
         // The crashes must have actually displaced work, or the
         // comparison is vacuous.
         EXPECT_GT(serial.evacuatedRequests + serial.retriedRequests,
@@ -510,6 +512,36 @@ TEST(FleetFaults, StrandedSessionSuccessorRePinsAfterCrash)
     EXPECT_EQ(fleet.replicas[1].completionSeconds.count(turn1.id), 1u);
     EXPECT_EQ(fleet.routedSessions[1], 1u);
     EXPECT_LT(fleet.availability[0], 1.0);
+}
+
+TEST(FleetFaults, FinishedSessionKeepsItsPinCountAfterCrash)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+
+    // Two single-turn sessions, one per replica under round-robin,
+    // both finished long before replica 0 crashes. The crash drops
+    // replica 0's pins, but the session it served still counts.
+    Request a(0, 2000, 16);
+    a.session = 1;
+    Request b(1, 2000, 16);
+    b.session = 2;
+    std::vector<TimedRequest> trace = {{a, 0.0}, {b, 0.0}};
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.faults.replicas.resize(2);
+    fopts.faults.replicas[0].push_back(crashAt(3.0));
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+    EXPECT_EQ(fleet.aggregate.completedRequests, 2u);
+    EXPECT_EQ(fleet.replicas[0].completedRequests, 1u);
+    EXPECT_EQ(fleet.replicas[1].completedRequests, 1u);
+    EXPECT_EQ(fleet.routedSessions,
+              (std::vector<std::uint64_t>{1, 1}));
 }
 
 TEST(FleetFaults, AvailabilityAndReloadFollowTheScriptedOutage)

@@ -14,7 +14,10 @@
  *      independent;
  *  (d) window-protocol edges hold: a replica idling across many
  *      windows stays correct, and an arrival landing exactly on a
- *      window barrier routes at that barrier (inclusive bound).
+ *      window barrier routes at that barrier (inclusive bound);
+ *  (e) golden: multi-replica routing, windowing and the resulting
+ *      simulation are pinned at hex-float precision under zero and
+ *      positive lookahead, across all three routing policies.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "system/engine.hh"
 #include "system/fleet.hh"
 #include "workload/arrival.hh"
+#include "workload/spec.hh"
 #include "workload/trace.hh"
 
 namespace pimphony {
@@ -297,6 +301,102 @@ TEST(FleetEngine, ArrivalExactlyOnWindowBoundaryRoutesInclusive)
 
     EXPECT_EQ(fleet.aggregate.completedRequests, 3u);
     expectSameResult(fleet.replicas[0], bare);
+}
+
+// --- (e) Golden multi-replica runs. ------------------------------------
+
+/** Three replicas over one 48-request trace (no sessions). */
+FleetResult
+runGoldenFleet(RoutePolicy policy, double dispatch)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    FleetOptions fopts;
+    fopts.replicas = 3;
+    fopts.policy = policy;
+    fopts.dispatchLatencySeconds = dispatch;
+    fopts.engine = testEngineOptions();
+    return FleetEngine(cluster, model, testTrace(48, 32.0, 16), fopts)
+        .run();
+}
+
+/**
+ * Three prefix-affinity replicas with the prefix cache on, serving
+ * 3-turn sessions whose openings draw from two pooled prefixes.
+ */
+FleetResult
+runGoldenAffinityFleet()
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    WorkloadSpec spec;
+    spec.count = 12;
+    spec.length.kind = LengthSourceKind::Pairs;
+    spec.length.pairs = {{2000, 16}, {4000, 16}};
+    spec.arrival.kind = ArrivalKind::Poisson;
+    spec.arrival.ratePerSecond = 16.0;
+    spec.prefix.share = 0.75;
+    spec.prefix.pool = 2;
+    spec.prefix.tokens = 1024;
+    spec.session.turns = 3;
+    spec.session.thinkMeanSeconds = 0.2;
+    auto built = buildWorkload(spec, 17);
+
+    FleetOptions fopts;
+    fopts.replicas = 3;
+    fopts.policy = RoutePolicy::PrefixAffinity;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.engine.prefixCache.enabled = true;
+    FleetEngine fleet(cluster, model, built.initial, fopts);
+    fleet.setSessions(built.sessions);
+    return fleet.run();
+}
+
+TEST(FleetGolden, ZeroLookaheadRoundRobin)
+{
+    auto f = runGoldenFleet(RoutePolicy::RoundRobin, 0.0);
+    EXPECT_EQ(f.routedRequests, (std::vector<std::uint64_t>{16, 16, 16}));
+    EXPECT_EQ(f.routedSessions, (std::vector<std::uint64_t>{0, 0, 0}));
+    EXPECT_EQ(f.windows, 49u); // 48 distinct arrival instants + drain
+    EXPECT_EQ(f.aggregate.simEvents, 2864u);
+    EXPECT_EQ(f.aggregate.generatedTokens, 768u);
+    EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.6729d950969a7p+1);
+    EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
+                     0x1.cb9292b8bf1ecp+0);
+    EXPECT_DOUBLE_EQ(f.aggregate.p95TokenGapSeconds,
+                     0x1.33df1d7d46f48p-2);
+}
+
+TEST(FleetGolden, WindowedLeastLoaded)
+{
+    auto f = runGoldenFleet(RoutePolicy::LeastLoaded, 0.004);
+    EXPECT_EQ(f.routedRequests, (std::vector<std::uint64_t>{15, 15, 18}));
+    EXPECT_EQ(f.routedSessions, (std::vector<std::uint64_t>{0, 0, 0}));
+    EXPECT_EQ(f.windows, 46u);
+    EXPECT_EQ(f.aggregate.simEvents, 2816u);
+    EXPECT_EQ(f.aggregate.generatedTokens, 768u);
+    EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.5f76761142243p+1);
+    EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
+                     0x1.e0c88c16e7196p+0);
+    EXPECT_DOUBLE_EQ(f.aggregate.p95TokenGapSeconds,
+                     0x1.1f7d8bc4d1bd8p-2);
+}
+
+TEST(FleetGolden, WindowedPrefixAffinitySessions)
+{
+    auto f = runGoldenAffinityFleet();
+    EXPECT_EQ(f.routedRequests, (std::vector<std::uint64_t>{4, 4, 4}));
+    EXPECT_EQ(f.routedSessions, (std::vector<std::uint64_t>{4, 4, 4}));
+    EXPECT_EQ(f.windows, 12u);
+    EXPECT_EQ(f.aggregate.simEvents, 4860u);
+    EXPECT_EQ(f.aggregate.generatedTokens, 576u);
+    EXPECT_EQ(f.aggregate.prefixHits, 28u);
+    EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.4f03ba6d31fa4p+1);
+    EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
+                     0x1.597d5d2721e58p-2);
+    EXPECT_DOUBLE_EQ(f.aggregate.p95TokenGapSeconds,
+                     0x1.a8c499b8c1cap-5);
 }
 
 // --- Roll-up sanity. ---------------------------------------------------
