@@ -54,7 +54,9 @@ std::string prefixEvictPolicyName(PrefixEvictPolicy policy);
 struct PrefixCacheOptions
 {
     /** Master switch; off reproduces the cache-less engine bit for
-     *  bit. Requires the LazyChunk allocator. */
+     *  bit. Requires the LazyChunk allocator. On, both workload
+     *  prefixes and a completed turn's KV (retained for its declared
+     *  next turn) are shared. */
     bool enabled = false;
 
     PrefixEvictPolicy evict = PrefixEvictPolicy::Lru;
@@ -62,9 +64,6 @@ struct PrefixCacheOptions
     /** Cap on cache chunk custody as a fraction of KV capacity;
      *  publishes beyond it evict idle entries or are skipped. */
     double maxShare = 0.5;
-
-    /** Retain a completed turn's KV for the declared next turn. */
-    bool sessionReuse = true;
 };
 
 struct PrefixCacheStats

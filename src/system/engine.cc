@@ -328,11 +328,9 @@ ServingEngine::entitledElsewhere(const std::set<unsigned> &entitled,
     return false;
 }
 
-ServingEngine::AdmitOutcome
-ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
-                           bool allow_borrow)
+ServingEngine::Admission
+ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
 {
-    prefill_sec = 0.0;
     const Request &front = timed.request;
     Tokens final_tokens = front.contextTokens + front.decodeTokens;
     Bytes need = model_.kvBytesPerToken() * final_tokens;
@@ -340,7 +338,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         final_tokens > model_.contextWindow) {
         // Can never be served on this configuration.
         ++result_.rejectedRequests;
-        return AdmitOutcome::Rejected;
+        return {AdmitOutcome::Rejected, {}, 0.0};
     }
     // Prefix probe: the best reusable tree entry — retained session
     // history first, then the declared workload prefix. A declared
@@ -356,8 +354,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
     Tokens custody = 0;
     if (prefixActive_) {
         Tokens share = 0;
-        if (options_.prefixCache.sessionReuse &&
-            front.session != kNoSession && front.turn > 0) {
+        if (front.session != kNoSession && front.turn > 0) {
             std::uint64_t skey =
                 PrefixCache::sessionKey(front.session, front.turn - 1);
             share = prefixCache_->peek(skey);
@@ -404,7 +401,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         !budgetAdmits(front.cls.tenant, charge_tokens, allow_borrow)) {
         if (key != 0)
             prefixCache_->releaseConsumer(key);
-        return AdmitOutcome::BudgetBlocked;
+        return {AdmitOutcome::BudgetBlocked, {}, 0.0};
     }
     // Headroom: only admit when the full decode trajectory fits
     // next to the current reservations (avoids preemption storms).
@@ -417,7 +414,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         if (!prefixActive_ || !prefixCache_->evictFor(need_unique)) {
             if (key != 0)
                 prefixCache_->releaseConsumer(key);
-            return AdmitOutcome::Blocked;
+            return {AdmitOutcome::Blocked, {}, 0.0};
         }
     }
     // Commit: count the hit or miss, seed the tree as the prefix's
@@ -445,7 +442,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
             else
                 prefixCache_->releaseConsumer(key);
         }
-        return AdmitOutcome::Blocked;
+        return {AdmitOutcome::Blocked, {}, 0.0};
     }
     // Scalar prefill is a serialized time charge, not chunk items:
     // the prefix KV is modelled present once the charge is taken, so
@@ -460,6 +457,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
     // charge means nothing to save).
     Tokens warm = publisher ? 0 : custody;
     result_.prefixCachedTokens += warm;
+    double prefill_sec = 0.0;
     if (options_.chargePrefill || options_.prefillChunkTokens > 0) {
         if (warm > 0) {
             double cold = prefillSeconds(model_, front.contextTokens,
@@ -477,33 +475,14 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         }
         result_.prefillSeconds += prefill_sec;
     }
-    if (prefixActive_) {
-        pendingCacheKey_ = key;
-        pendingCachedTokens_ = custody;
-        pendingWarmTokens_ = publisher ? 0 : custody;
-        pendingPublisher_ = publisher;
+    if (prefixActive_)
         prefixSampleOccupancy();
-    }
-    return AdmitOutcome::Admitted;
-}
-
-ServingEngine::Active
-ServingEngine::takeAdmitted(const TimedRequest &timed)
-{
-    // Materialize the Active record for the admission tryAdmitOne
-    // just committed, consuming the prefix-cache handoff it stashed
-    // (all zero when caching is off — the record is then identical
-    // to the pre-cache construction).
-    Active a{timed.request, 0, timed.arrivalSeconds, -1.0};
-    a.cachedTokens = pendingCachedTokens_;
-    a.warmTokens = pendingWarmTokens_;
-    a.cacheKey = pendingCacheKey_;
-    a.cachePublisher = pendingPublisher_;
-    pendingCachedTokens_ = 0;
-    pendingWarmTokens_ = 0;
-    pendingCacheKey_ = 0;
-    pendingPublisher_ = false;
-    return a;
+    // The prefix state is all zero when caching is off, making the
+    // record identical to the pre-cache construction.
+    return {AdmitOutcome::Admitted,
+            Active{front, 0, timed.arrivalSeconds, -1.0, custody, warm,
+                   key, publisher},
+            prefill_sec};
 }
 
 Tokens
@@ -515,8 +494,7 @@ ServingEngine::prefixWarmTokens(const Request &r) const
     if (!prefixActive_)
         return 0;
     Tokens share = 0;
-    if (options_.prefixCache.sessionReuse && r.session != kNoSession &&
-        r.turn > 0)
+    if (r.session != kNoSession && r.turn > 0)
         share = prefixCache_->peek(
             PrefixCache::sessionKey(r.session, r.turn - 1));
     if (share == 0 && r.prefixHash != 0 && r.prefixTokens > 0 &&
@@ -592,8 +570,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
     }
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
-        if (prefixActive_ && options_.prefixCache.sessionReuse &&
-            a.request.session != kNoSession &&
+        if (prefixActive_ && a.request.session != kNoSession &&
             sessions_.count(a.request.id)) {
             // A declared successor exists: hand the full KV (context
             // plus everything generated) to the tree under this
@@ -634,60 +611,75 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
 }
 
 void
-ServingEngine::admit()
+ServingEngine::admitArrived(double now)
 {
-    if (!budgetsActive_) {
-        while (!pending_.empty()) {
-            const TimedRequest &timed = pending_.front();
-            if (timed.arrivalSeconds > result_.simulatedSeconds)
-                break; // not yet arrived (open loop)
-            double prefill_sec = 0.0;
-            AdmitOutcome outcome = tryAdmitOne(timed, prefill_sec);
-            if (outcome == AdmitOutcome::Blocked)
+    // Skipping a gated tier or an over-budget tenant, rather than
+    // halting on it, keeps FIFO order inside each (class, tenant)
+    // population without head-of-line blocking the others.
+    EventRun *ev = ev_.get();
+    if (ev && ev->halted)
+        return; // crashed replica: admissions wait for the sweep
+    std::deque<TimedRequest> &queue = ev ? ev->arrived : pending_;
+    // The SLO gate guards new prefills on the chunked event path; it
+    // is re-checked at every cycle completion.
+    const bool gated = ev && ev->chunked;
+    if (gated && classesActive_ && ev->policy->needsGapSignal())
+        evRefreshTiersInFlight();
+    // Without per-tier windows the gate reads one global signal that
+    // the scan does not move, so one answer serves every prefill.
+    const bool uniform_gate =
+        gated && (tiers_.empty() || !ev->policy->needsGapSignal());
+    const bool uniform_defers = uniform_gate && !queue.empty() &&
+                                evClassGateDefers(RequestClass{});
+    std::set<unsigned> entitled = entitledTenantsWaiting(queue, now);
+    bool gate_deferred = false;
+    for (std::size_t i = 0; i < queue.size();) {
+        const TimedRequest &timed = queue[i];
+        if (timed.arrivalSeconds > now) {
+            // Not yet arrived (analytic open loop). Under budgets a
+            // preempted request requeued behind it counts as
+            // entitled (entitledTenantsWaiting), so look past it.
+            if (!budgetsActive_)
                 break;
-            if (outcome == AdmitOutcome::Admitted) {
-                result_.simulatedSeconds += prefill_sec;
-                integrateTenantShares(prefill_sec);
-                active_.push_back(
-                    {timed.request, 0, timed.arrivalSeconds});
+            ++i;
+            continue;
+        }
+        if (gated && timed.request.contextTokens > 0 &&
+            (uniform_gate ? uniform_defers
+                          : evClassGateDefers(timed.request.cls))) {
+            // At most one deferral per admission check.
+            if (!gate_deferred) {
+                ++result_.sloDeferrals;
+                gate_deferred = true;
             }
-            pending_.pop_front();
-        }
-        return;
-    }
-    // Budget-aware admission scans past over-budget tenants so one
-    // saturating tenant cannot head-of-line block the others; a
-    // memory block still halts the scan (releases are what clear
-    // it).
-    std::set<unsigned> entitled =
-        entitledTenantsWaiting(pending_, result_.simulatedSeconds);
-    for (std::size_t i = 0; i < pending_.size();) {
-        const TimedRequest &timed = pending_[i];
-        if (timed.arrivalSeconds > result_.simulatedSeconds) {
-            // Mostly arrival-sorted, but preempted requests requeue
-            // at the back with past arrivals — skip future traffic
-            // instead of stopping at it.
             ++i;
             continue;
         }
-        bool allow_borrow =
-            !entitledElsewhere(entitled, timed.request.cls.tenant);
-        double prefill_sec = 0.0;
-        AdmitOutcome outcome =
-            tryAdmitOne(timed, prefill_sec, allow_borrow);
-        if (outcome == AdmitOutcome::Blocked)
+        Admission adm = tryAdmitOne(
+            timed, !entitledElsewhere(entitled, timed.request.cls.tenant));
+        if (adm.outcome == AdmitOutcome::Blocked)
             break;
-        if (outcome == AdmitOutcome::BudgetBlocked) {
+        if (adm.outcome == AdmitOutcome::BudgetBlocked) {
             ++i;
             continue;
         }
-        if (outcome == AdmitOutcome::Admitted) {
-            result_.simulatedSeconds += prefill_sec;
-            integrateTenantShares(prefill_sec);
-            active_.push_back({timed.request, 0, timed.arrivalSeconds});
+        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+        if (adm.outcome != AdmitOutcome::Admitted)
+            continue; // Rejected: already counted
+        if (!ev) {
+            // Analytic: the scalar prefill serializes on the clock,
+            // and later arrivals are judged against the advanced time.
+            result_.simulatedSeconds += adm.prefillSeconds;
+            integrateTenantShares(adm.prefillSeconds);
+            now = result_.simulatedSeconds;
+            active_.push_back(std::move(adm.active));
+        } else if (ev->chunked) {
+            evStartPrefill(std::move(adm.active), now);
+        } else {
+            ev->prefillReady = std::max(ev->prefillReady, now) +
+                               adm.prefillSeconds * ev->serviceRateScale;
+            ev->readyPool.push_back(std::move(adm.active));
         }
-        pending_.erase(pending_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
     }
 }
 
@@ -874,7 +866,7 @@ ServingEngine::runAnalytic()
     double batch_time = 0.0;   // integral of batch over time
     double capacity_time = 0.0;
 
-    admit();
+    admitArrived(result_.simulatedSeconds);
     std::uint64_t steps = 0;
     while ((!active_.empty() || !pending_.empty()) &&
            steps < options_.maxSteps) {
@@ -887,7 +879,7 @@ ServingEngine::runAnalytic()
                                       result_.simulatedSeconds);
                 result_.simulatedSeconds =
                     pending_.front().arrivalSeconds;
-                admit();
+                admitArrived(result_.simulatedSeconds);
                 continue;
             }
             // Nothing admitted although requests pend: the headroom
@@ -895,7 +887,7 @@ ServingEngine::runAnalytic()
             // cannot be with an empty active set -> reject front.
             ++result_.rejectedRequests;
             pending_.pop_front();
-            admit();
+            admitArrived(result_.simulatedSeconds);
             continue;
         }
 
@@ -918,7 +910,7 @@ ServingEngine::runAnalytic()
             }
         }
         active_.resize(keep);
-        admit();
+        admitArrived(result_.simulatedSeconds);
     }
     if (steps >= options_.maxSteps)
         warn("engine stopped at the step cap (%llu)",
@@ -1109,101 +1101,6 @@ ServingEngine::evStartPrefill(Active a, double now)
 }
 
 void
-ServingEngine::evAdmitArrivals(double now)
-{
-    // Admission under the same per-request rules as the analytic
-    // path (tryAdmitOne); admitted requests reach the ready pool
-    // once decode-ready (immediately, or after prefill chunks). The
-    // policy's admission gate runs first: a deferred prefill blocks
-    // the (FIFO) admission queue until the SLO signal recovers,
-    // re-checked at every cycle completion.
-    EventRun &ev = *ev_;
-    if (ev.halted)
-        return; // crashed replica: admissions wait for the sweep
-    if (!classesActive_ && !budgetsActive_) {
-        // Single-class path: plain FIFO admission, bit-identical
-        // to the pre-tier engine.
-        while (!ev.arrived.empty()) {
-            if (ev.chunked &&
-                ev.arrived.front().request.contextTokens > 0 &&
-                !ev.policy->admitPrefill(
-                    ev.policy->needsGapSignal() ? evRecentGapP95() : 0.0,
-                    evGapSamples(), evInFlightCount() > 0)) {
-                ++result_.sloDeferrals;
-                break;
-            }
-            TimedRequest timed = ev.arrived.front();
-            double prefill_sec = 0.0;
-            AdmitOutcome outcome = tryAdmitOne(timed, prefill_sec);
-            if (outcome == AdmitOutcome::Blocked)
-                break;
-            ev.arrived.pop_front();
-            if (outcome != AdmitOutcome::Admitted)
-                continue;
-            Active a = takeAdmitted(timed);
-            if (ev.chunked) {
-                evStartPrefill(std::move(a), now);
-            } else {
-                ev.prefillReady = std::max(ev.prefillReady, now) +
-                                  prefill_sec * ev.serviceRateScale;
-                ev.readyPool.push_back(std::move(a));
-            }
-        }
-        return;
-    }
-    // Class/tenant-aware admission: the queue is scanned rather
-    // than strictly FIFO, so a gated tier or an over-budget
-    // tenant cannot head-of-line block the other classes. FIFO
-    // order is kept inside each (class, tenant) population; a
-    // memory block still halts the scan (only releases clear
-    // it).
-    if (classesActive_ && ev.policy->needsGapSignal())
-        evRefreshTiersInFlight();
-    std::set<unsigned> entitled = entitledTenantsWaiting(ev.arrived, now);
-    bool gate_deferred = false;
-    for (std::size_t i = 0; i < ev.arrived.size();) {
-        const TimedRequest &timed = ev.arrived[i];
-        if (ev.chunked && timed.request.contextTokens > 0 &&
-            evClassGateDefers(timed.request.cls)) {
-            // Count at most one deferral per admission check, as
-            // the single-class path does, so the metric stays
-            // comparable across the two paths.
-            if (!gate_deferred) {
-                ++result_.sloDeferrals;
-                gate_deferred = true;
-            }
-            ++i;
-            continue;
-        }
-        bool allow_borrow =
-            !budgetsActive_ ||
-            !entitledElsewhere(entitled, timed.request.cls.tenant);
-        double prefill_sec = 0.0;
-        AdmitOutcome outcome =
-            tryAdmitOne(timed, prefill_sec, allow_borrow);
-        if (outcome == AdmitOutcome::Blocked)
-            break;
-        if (outcome == AdmitOutcome::BudgetBlocked) {
-            ++i;
-            continue;
-        }
-        TimedRequest taken = timed;
-        ev.arrived.erase(ev.arrived.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-        if (outcome != AdmitOutcome::Admitted)
-            continue; // Rejected: already counted
-        Active a = takeAdmitted(taken);
-        if (ev.chunked) {
-            evStartPrefill(std::move(a), now);
-        } else {
-            ev.prefillReady = std::max(ev.prefillReady, now) +
-                              prefill_sec * ev.serviceRateScale;
-            ev.readyPool.push_back(std::move(a));
-        }
-    }
-}
-
-void
 ServingEngine::evStartCycle(EventCohort &c, double ready)
 {
     EventRun &ev = *ev_;
@@ -1275,7 +1172,7 @@ ServingEngine::evOnCycleComplete(EventCohort &c, double t)
     // model's per-step re-split does, while leaving the other
     // cohorts' in-flight cycles untouched.
     if (!ev.capped) {
-        evAdmitArrivals(t);
+        admitArrived(t);
         ev.readyPool.insert(ev.readyPool.begin(),
                             std::make_move_iterator(c.members.begin()),
                             std::make_move_iterator(c.members.end()));
@@ -1314,7 +1211,7 @@ ServingEngine::evFormNewCohorts(double t)
             return;
         if (ev.cohorts.size() >= ev.pp)
             return; // pipeline slots full; rebalance at cycle ends
-        evAdmitArrivals(t);
+        admitArrived(t);
         if (ev.readyPool.empty()) {
             // Deadlock guard: nothing in flight (decoding or
             // prefilling), nothing admissible, and no event can
@@ -1393,7 +1290,7 @@ ServingEngine::prepare()
 
     // Co-scheduling policy: arbitration of the xPU timelines (FIFO
     // policies keep the plain reservation arithmetic) plus the
-    // SLO admission gate consulted by evAdmitArrivals.
+    // SLO admission gate consulted by admitArrived.
     ev.policy = makeSchedPolicy(options_.sched);
     // Policies steering on the gap signal read a streaming windowed
     // p95 (fed by advanceMember) instead of copying and sorting the

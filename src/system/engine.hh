@@ -500,23 +500,39 @@ class ServingEngine
         double spanCycles = 0.0;
     };
 
-    /** Admit arrived pending requests while memory allows. */
-    void admit();
-
     /**
      * Per-request admission rule shared by both step models:
      * Rejected = can never be served here, Blocked = waits for
      * memory, BudgetBlocked = the request's tenant is over budget
      * and borrowing was denied (@p allow_borrow false; only with
-     * tenant budgets configured), Admitted = reserved (with
-     * @p prefill_sec the scalar prefill charge when chargePrefill or
-     * prefillChunkTokens is set; the chunked event path apportions
-     * it over chunk items instead of spending it as a lump).
+     * tenant budgets configured), Admitted = reserved.
      */
     enum class AdmitOutcome { Admitted, Rejected, Blocked, BudgetBlocked };
-    AdmitOutcome tryAdmitOne(const TimedRequest &timed,
-                             double &prefill_sec,
-                             bool allow_borrow = true);
+
+    /** What tryAdmitOne decided; on Admitted, the request (with its
+     *  prefix-cache state) and its scalar prefill charge (nonzero
+     *  when chargePrefill or prefillChunkTokens is set; the chunked
+     *  event path apportions it over chunk items). */
+    struct Admission
+    {
+        AdmitOutcome outcome = AdmitOutcome::Rejected;
+        Active active;
+        double prefillSeconds = 0.0;
+    };
+    Admission tryAdmitOne(const TimedRequest &timed, bool allow_borrow);
+
+    /**
+     * The admission scan both step models run at time @p now: walk
+     * pending_ (analytic) or the arrived queue (event-driven) in FIFO
+     * order through tryAdmitOne. Stops at a memory block and at a
+     * request that has not arrived yet (looks past it under tenant
+     * budgets); skips a prefill the SLO gate defers (one
+     * sloDeferrals per scan) and a budget-blocked request. Analytic
+     * admissions charge their prefill to the clock and join active_;
+     * event-driven ones start their chunked prefill, or take the
+     * scalar charge on the prefillReady clock and join the pool.
+     */
+    void admitArrived(double now);
 
     /**
      * Advance @p a by the one token produced at @p completion_clock:
@@ -575,9 +591,6 @@ class ServingEngine
 
     /** Per-class SLO admission gate (see classGateDefers notes). */
     bool evClassGateDefers(const RequestClass &cls);
-
-    /** Admission scan over the arrived queue at event time @p now. */
-    void evAdmitArrivals(double now);
 
     /** Submit an admitted request's chunked prefill sequence. */
     void evStartPrefill(Active a, double now);
@@ -699,19 +712,9 @@ class ServingEngine
     /** Fractional tenant charges by request id (refunded exactly). */
     std::unordered_map<RequestId, double> prefixTenantCharge_;
 
-    /** tryAdmitOne -> Active handoff of the admitted request's
-     *  prefix state (custody offset, warm tokens, key, publisher). */
-    Tokens pendingCachedTokens_ = 0;
-    Tokens pendingWarmTokens_ = 0;
-    std::uint64_t pendingCacheKey_ = 0;
-    bool pendingPublisher_ = false;
-
     /** Peak shared/unique custody samples (EngineResult). */
     Bytes prefixSharedPeak_ = 0;
     Bytes prefixUniquePeak_ = 0;
-
-    /** Stamp an Active from the pending prefix-admission state. */
-    Active takeAdmitted(const TimedRequest &timed);
 
     /** Sample shared/unique custody peaks (prefixActive_ only). */
     void prefixSampleOccupancy();

@@ -91,10 +91,12 @@ struct ServingOptions
     /**
      * Per-tenant admission budgets (token-capacity shares with
      * work-conserving borrowing; see TenantBudget). Empty — the
-     * default — disables tenant accounting entirely: admission is
-     * the plain FIFO queue, bit for bit. With budgets set, admission
-     * scans past budget-blocked requests so one saturating tenant
-     * cannot head-of-line block the others.
+     * default — disables tenant accounting entirely, and no request
+     * is ever budget-blocked. With budgets set, the admission scan
+     * skips budget-blocked requests so one saturating tenant cannot
+     * head-of-line block the others, and looks past requests that
+     * have not arrived yet to reach preempted ones requeued behind
+     * them.
      */
     std::vector<TenantBudget> tenantBudgets;
 

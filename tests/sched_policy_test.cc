@@ -9,7 +9,8 @@
  * ChunkPreempt bounds the worst-case decode stall by its quantum,
  * SloAdmission keeps the p95 gap under the target at the cost of
  * higher tail TTFT, and every policy conserves the planned prefill
- * charge.
+ * charge. The SLO gate defers prefills only: a zero-context request
+ * queued behind a deferred prefill is admitted in the same check.
  */
 
 #include <gtest/gtest.h>
@@ -436,6 +437,40 @@ TEST(SchedPolicyEngine, SloAdmissionKeepsGapUnderTargetAtTtftCost)
     EXPECT_GT(max_ttft(slo), max_ttft(fifo));
     expectPrefillConserved(fifo, cluster, "fifo");
     expectPrefillConserved(slo, cluster, "slo-admission");
+}
+
+TEST(SchedPolicyEngine, SloGateSkipsDeferredPrefillForZeroContext)
+{
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    applyOptions(cluster, PimphonyOptions::all());
+
+    // The gate-binding burst of the test above, then a zero-context
+    // request (nothing to prefill) arriving while the gate defers
+    // the burst's tail. The scan skips the deferred prefills and
+    // admits it at its first check, so its TTFT is about one decode
+    // cycle rather than the wait for the gate to reopen (~1.9 s if a
+    // deferral halted the whole queue).
+    std::vector<TimedRequest> timed;
+    timed.push_back({{0, 30000, 1536}, 0.0});
+    RequestId id = 1;
+    for (int i = 0; i < 8; ++i)
+        timed.push_back({{id++, 30000, 64}, 3.0 + 0.25 * i});
+    const RequestId zero = id;
+    timed.push_back({{zero, 0, 64}, 5.1});
+
+    SchedPolicyConfig sched;
+    sched.kind = SchedPolicyKind::SloAdmission;
+    sched.sloTargetGapSeconds = 0.07;
+    sched.sloWindow = 32;
+    auto r = runPolicy(cluster, model, timed, 512, sched);
+
+    ASSERT_EQ(r.completedRequests, 10u);
+    ASSERT_GT(r.sloDeferrals, 0u);
+    // It overtakes the prefill queued just ahead of it.
+    EXPECT_GT(4.75 + r.firstTokenLatency.at(zero - 1),
+              5.1 + r.firstTokenLatency.at(zero));
+    EXPECT_LT(r.firstTokenLatency.at(zero), 4.0 * r.p95TokenGapSeconds);
 }
 
 TEST(SchedPolicyEngine, AllPoliciesSelectableViaOrchestrator)

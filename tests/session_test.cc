@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "result_compare.hh"
 #include "system/engine.hh"
 #include "system/fleet.hh"
 #include "workload/replay.hh"
@@ -68,30 +69,6 @@ runWithSessions(const ClusterConfig &cluster, const LlmConfig &model,
                          testEngineOptions());
     engine.declareSessionTurns(built.sessions);
     return engine.run();
-}
-
-/** The fleet_test comparison surface plus the completion-time map. */
-void
-expectSameResult(const EngineResult &a, const EngineResult &b)
-{
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.simulatedSeconds, b.simulatedSeconds);
-    EXPECT_EQ(a.generatedTokens, b.generatedTokens);
-    EXPECT_EQ(a.completedRequests, b.completedRequests);
-    EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
-    EXPECT_EQ(a.macUtilization, b.macUtilization);
-    EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
-    EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency);
-    EXPECT_EQ(a.p95RequestLatency, b.p95RequestLatency);
-    EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds);
-    EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
-    EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
-    EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
-    EXPECT_EQ(a.simEvents, b.simEvents);
-    EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
-    EXPECT_EQ(a.completionSeconds, b.completionSeconds);
 }
 
 // --- Turn release ordering. --------------------------------------------

@@ -17,7 +17,11 @@
  *      default class and no budgets, the engine's metrics are
  *      bit-identical to a run without classes (the PR 4 goldens in
  *      tests/engine_determinism_test.cc pin the same property
- *      against the recorded history).
+ *      against the recorded history);
+ *  (e) under budgets the analytic admission scan looks past
+ *      requests that have not arrived yet, so a preempted request
+ *      requeued behind them is admitted and its tenant's
+ *      entitlement never strands an over-budget borrower.
  */
 
 #include <gtest/gtest.h>
@@ -467,6 +471,72 @@ TEST(SloClassesEngine, IdleTenantShareIsBorrowable)
     const auto &b = tenantRow(with, 1);
     EXPECT_EQ(b.admittedRequests, 0u);
     EXPECT_DOUBLE_EQ(b.avgTokenShare, 0.0);
+}
+
+TEST(SloClassesEngine, BudgetScanReachesPreemptedRequestBehindFutureArrivals)
+{
+    // Analytic open loop, two tenants. Tenant 0's two decoders are
+    // admitted together but cannot both hold their full trajectory,
+    // so one is preempted and requeues at the back of the pending
+    // queue with its original arrival, behind two requests that
+    // arrive much later. Tenant 1's request waits at the front: it
+    // is over its own budget and fits only once tenant 0's survivor
+    // completes, which leaves nothing running. The preempted request
+    // is entitled, so tenant 1 may not borrow yet; the scan must
+    // reach the preempted request behind the future arrivals rather
+    // than stop at them, or nothing is admitted and the over-budget
+    // request would be dropped as unservable.
+    auto model = LlmConfig::llm7b(true);
+    const Tokens ctx = 1000, decode = 2000;
+    auto cluster = ClusterConfig::centLike(model);
+    cluster.nModules = 2;
+    cluster.plan = ParallelPlan{2, 1};
+    // Admits both decoders but cannot hold both full trajectories.
+    Bytes kv_budget = model.kvBytesPerToken() * (2 * ctx + 2 * 1800);
+    cluster.module.capacityBytes =
+        (kv_budget + model.weightBytes()) / cluster.nModules + 1;
+    applyOptions(cluster, PimphonyOptions::all());
+
+    const double late = 1000.0;
+    const RequestId borrower = 2;
+    std::vector<TimedRequest> timed;
+    timed.push_back({{0, ctx, decode}, 0.0});
+    timed.push_back({{1, ctx, decode}, 0.01});
+    // Final 3700 tokens: above tenant 1's 0.4 share of the ~5600
+    // token capacity, and too large to fit next to a running decoder.
+    timed.push_back({{borrower, ctx, 2700}, 0.02});
+    timed.back().request.cls.tenant = 1;
+    timed.push_back({{3, ctx, 16}, late});
+    timed.push_back({{4, ctx, 16}, late + 1.0});
+
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    opts.stepModel = StepModel::Analytic;
+    opts.tenantBudgets = {{0, 0.6}, {1, 0.4}};
+    auto r = ServingEngine(cluster, model, timed, opts).run();
+
+    ASSERT_GE(r.preemptions, 1u);
+    ASSERT_EQ(r.rejectedRequests, 0u);
+    ASSERT_EQ(r.completedRequests, 5u);
+    // Both of tenant 0's requests and the borrower finish before the
+    // late traffic arrives.
+    EXPECT_LT(r.completionSeconds.at(0), late);
+    EXPECT_LT(r.completionSeconds.at(1), late);
+    EXPECT_LT(r.completionSeconds.at(borrower), late);
+    // The borrower ran above its guarantee.
+    EXPECT_GT(tenantRow(r, 1).peakTokenShare, 0.4);
+    EXPECT_GT(r.budgetDeferrals, 0u);
+
+    // Without budgets the plain FIFO scan stops at the first future
+    // arrival, so the preempted request waits behind the whole rest
+    // of the trace.
+    opts.tenantBudgets.clear();
+    auto fifo = ServingEngine(cluster, model, timed, opts).run();
+    ASSERT_GE(fifo.preemptions, 1u);
+    EXPECT_EQ(fifo.completedRequests, 5u);
+    EXPECT_GT(std::max(fifo.completionSeconds.at(0),
+                       fifo.completionSeconds.at(1)),
+              late + 1.0);
 }
 
 // --- (d) Strict additivity of the subsystem. ----------------------------
