@@ -24,10 +24,9 @@ struct ServingEngine::EventCohort
 };
 
 /**
- * State of one prepared event-driven run: the former runEventDriven
- * locals, hoisted to the heap so the run survives between advanceTo
- * calls. Field names and roles are unchanged from the run-local
- * originals; the ev* member functions are the former lambdas.
+ * State of one prepared event-driven run, held on the heap so the run
+ * survives between advanceTo calls; the ev* member functions are its
+ * event handlers.
  */
 struct ServingEngine::EventRun
 {
@@ -165,48 +164,18 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     for (auto &r : requests)
         pending_.push_back(r);
 
-    // Request-class / tenant-budget activation. Both stay fully
+    // Tenant budgets, then the class/tenant registration a fleet
+    // replica performs for its routed requests. Both stay fully
     // inert — no extra bookkeeping on any path — when every request
     // carries the default class and no budgets are configured, so
     // the pre-tier engine is reproduced bit for bit.
     budgetsActive_ = !options_.tenantBudgets.empty();
     capacityTokens_ = static_cast<double>(allocator_->capacity()) /
                       static_cast<double>(model_.kvBytesPerToken());
-    for (const auto &timed : pending_) {
-        const RequestClass &cls = timed.request.cls;
-        if (!cls.isDefault())
-            classesActive_ = true;
-        if (cls.tenant != 0)
-            tenantsActive_ = true;
-    }
-    tenantsActive_ = tenantsActive_ || budgetsActive_;
-    if (classesActive_) {
-        std::map<unsigned, Tokens> tier_decode;
-        for (const auto &timed : pending_) {
-            const RequestClass &cls = timed.request.cls;
-            TierState &ts = tiers_[cls.tier];
-            ++ts.requests;
-            tier_decode[cls.tier] += timed.request.decodeTokens;
-            // First explicit per-class target wins; tiers without
-            // one are judged against the policy-wide default.
-            if (ts.target == 0.0 && cls.gapSloSeconds > 0.0)
-                ts.target = cls.gapSloSeconds;
-        }
-        for (auto &kv : tiers_) {
-            if (kv.second.target == 0.0)
-                kv.second.target = options_.sched.sloTargetGapSeconds;
-            // Pre-size the per-tier samples like the aggregate
-            // vectors above, so the decode path never reallocates
-            // mid-run.
-            kv.second.ttfts.reserve(kv.second.requests);
-            kv.second.gaps.reserve(tier_decode[kv.first]);
-        }
-    }
     if (budgetsActive_) {
         double total_share = 0.0;
         for (const TenantBudget &b : options_.tenantBudgets) {
-            TenantState &ts = tenants_[b.tenant];
-            ts.budgetTokens = b.share * capacityTokens_;
+            tenants_[b.tenant].budgetTokens = b.share * capacityTokens_;
             total_share += b.share;
         }
         if (total_share > 1.0 + 1e-9)
@@ -214,22 +183,28 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
                  "cannot all hold under saturation",
                  total_share);
     }
-    if (tenantsActive_)
-        for (const auto &timed : pending_)
-            (void)tenantState(timed.request.cls.tenant);
-}
-
-ServingEngine::TenantState &
-ServingEngine::tenantState(unsigned tenant)
-{
-    return tenants_[tenant];
+    declareWorkload(requests);
+    for (const auto &timed : requests)
+        registerInjected(timed);
+    if (classesActive_) {
+        // Pre-size the per-tier samples like the aggregate vectors
+        // above, so the decode path never reallocates mid-run.
+        std::map<unsigned, Tokens> tier_decode;
+        for (const auto &timed : requests)
+            tier_decode[timed.request.cls.tier] +=
+                timed.request.decodeTokens;
+        for (auto &kv : tiers_) {
+            kv.second.ttfts.reserve(kv.second.requests);
+            kv.second.gaps.reserve(tier_decode[kv.first]);
+        }
+    }
 }
 
 bool
 ServingEngine::budgetAdmits(unsigned tenant, double need,
                             bool allow_borrow)
 {
-    TenantState &ts = tenantState(tenant);
+    TenantState &ts = tenants_[tenant];
     if (ts.reservedTokens + need <= ts.budgetTokens)
         return true; // within the guarantee
     if (allow_borrow)
@@ -239,44 +214,27 @@ ServingEngine::budgetAdmits(unsigned tenant, double need,
     return false;
 }
 
-void
-ServingEngine::tenantReserve(const Request &request, double charge_tokens)
+double
+ServingEngine::tenantReserve(const Request &request, double tokens)
 {
     if (!tenantsActive_)
-        return;
-    double tokens = charge_tokens >= 0.0
-                        ? charge_tokens
-                        : static_cast<double>(request.contextTokens +
-                                              request.decodeTokens);
-    // Remember an overridden (fractionally shared) charge so the
-    // release refunds exactly what was reserved, no matter how the
-    // entry's refcount moves in between.
-    if (prefixActive_ && charge_tokens >= 0.0)
-        prefixTenantCharge_[request.id] = charge_tokens;
-    TenantState &ts = tenantState(request.cls.tenant);
+        return 0.0;
+    TenantState &ts = tenants_[request.cls.tenant];
     ts.reservedTokens += tokens;
     ++ts.admitted;
     if (capacityTokens_ > 0.0)
         ts.peakShare = std::max(ts.peakShare,
                                 ts.reservedTokens / capacityTokens_);
+    return tokens;
 }
 
 void
-ServingEngine::tenantRelease(const Request &request)
+ServingEngine::tenantRelease(const Active &a)
 {
     if (!tenantsActive_)
         return;
-    double tokens = static_cast<double>(request.contextTokens +
-                                        request.decodeTokens);
-    if (prefixActive_) {
-        auto it = prefixTenantCharge_.find(request.id);
-        if (it != prefixTenantCharge_.end()) {
-            tokens = it->second;
-            prefixTenantCharge_.erase(it);
-        }
-    }
-    TenantState &ts = tenantState(request.cls.tenant);
-    ts.reservedTokens -= tokens;
+    TenantState &ts = tenants_[a.request.cls.tenant];
+    ts.reservedTokens -= a.tenantCharge;
     if (ts.reservedTokens < 0.0)
         ts.reservedTokens = 0.0;
 }
@@ -390,7 +348,8 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
     // this admission's reference is already counted, and structural
     // refs (publisher hold, session-chained children) never dilute
     // the charge. The PR 5 work-conserving guarantee holds because
-    // checks and reservations use the same reduced charge.
+    // checks and reservations use the same reduced charge, and the
+    // request carries its charge so release refunds exactly it.
     double charge_tokens = static_cast<double>(final_tokens);
     if (cached > 0)
         charge_tokens =
@@ -450,7 +409,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
     // the prefill-completion callback instead.
     if (publisher && options_.prefillChunkTokens == 0)
         prefixCache_->markReady(key, now());
-    tenantReserve(front, cached > 0 ? charge_tokens : -1.0);
+    double tenant_charge = tenantReserve(front, charge_tokens);
     // Reused tokens are counted whether or not prefill time is
     // charged, so sweeps with charging off still report the hit's
     // substance (savedPrefillSeconds stays zero there: no time
@@ -459,20 +418,14 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
     result_.prefixCachedTokens += warm;
     double prefill_sec = 0.0;
     if (options_.chargePrefill || options_.prefillChunkTokens > 0) {
-        if (warm > 0) {
-            double cold = prefillSeconds(model_, front.contextTokens,
+        prefill_sec = prefillSecondsFrom(model_, warm, front.contextTokens,
                                          cluster_.xpu,
                                          cluster_.prefillEngines());
-            prefill_sec = prefillSecondsFrom(model_, warm,
-                                             front.contextTokens,
-                                             cluster_.xpu,
-                                             cluster_.prefillEngines());
-            result_.savedPrefillSeconds += cold - prefill_sec;
-        } else {
-            prefill_sec = prefillSeconds(model_, front.contextTokens,
-                                         cluster_.xpu,
-                                         cluster_.prefillEngines());
-        }
+        if (warm > 0)
+            result_.savedPrefillSeconds +=
+                prefillSeconds(model_, front.contextTokens, cluster_.xpu,
+                               cluster_.prefillEngines()) -
+                prefill_sec;
         result_.prefillSeconds += prefill_sec;
     }
     if (prefixActive_)
@@ -481,7 +434,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
     // record identical to the pre-cache construction.
     return {AdmitOutcome::Admitted,
             Active{front, 0, timed.arrivalSeconds, -1.0, custody, warm,
-                   key, publisher},
+                   key, publisher, tenant_charge},
             prefill_sec};
 }
 
@@ -539,7 +492,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         // Out of memory: preempt (vLLM-style recompute); the
         // request re-queues with its original arrival time.
         allocator_->release(a.request.id);
-        tenantRelease(a.request);
+        tenantRelease(a);
         releaseCacheRef(a);
         ++result_.preemptions;
         requeue.push_back({a.request, a.arrival});
@@ -596,7 +549,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
             allocator_->release(a.request.id);
         }
         releaseCacheRef(a);
-        tenantRelease(a.request);
+        tenantRelease(a);
         ++result_.completedRequests;
         if (classesActive_)
             ++tiers_[a.request.cls.tier].completed;
@@ -792,18 +745,14 @@ ServingEngine::accountCycle(const CyclePlan &plan, double span_cycles,
 double
 ServingEngine::stepSeconds(ChannelAccum &acc)
 {
-    const unsigned pp = cluster_.plan.pp;
     const std::uint32_t batch =
         static_cast<std::uint32_t>(active_.size());
-
-    MicroBatching mb = planMicroBatches(batch, pp);
+    MicroBatching mb = planMicroBatches(batch, cluster_.plan.pp);
     const std::uint32_t mbs = mb.microBatchSize;
 
-    double max_stage_sec = 0.0;
-    double step_att_sec = 0.0, step_fc_sec = 0.0;
-    double step_busy = 0.0;
-    EnergyBreakdown att_energy, fc_energy;
-
+    // The lockstep step is one plan: its micro-batches' work summed,
+    // paced by the slowest stage of any of them.
+    CyclePlan step;
     for (std::uint32_t m = 0; m < mb.count; ++m) {
         std::uint32_t lo = m * mbs;
         std::uint32_t hi = std::min<std::uint32_t>(lo + mbs, batch);
@@ -811,52 +760,30 @@ ServingEngine::stepSeconds(ChannelAccum &acc)
             continue;
         CyclePlan plan = planCohortCycle(active_.data() + lo,
                                          active_.data() + hi);
-        max_stage_sec = std::max(max_stage_sec, plan.maxStageSeconds);
-        step_att_sec += plan.attSeconds;
-        step_fc_sec += plan.fcSeconds;
-        step_busy += plan.busyChannelCycles;
-        att_energy += plan.attEnergy;
-        fc_energy += plan.fcEnergy;
+        step.maxStageSeconds =
+            std::max(step.maxStageSeconds, plan.maxStageSeconds);
+        step.attSeconds += plan.attSeconds;
+        step.fcSeconds += plan.fcSeconds;
+        step.busyChannelCycles += plan.busyChannelCycles;
+        step.attEnergy += plan.attEnergy;
+        step.fcEnergy += plan.fcEnergy;
     }
-
-    double step_sec = mb.stageBeats * max_stage_sec;
-
-    // Cluster-wide channel-cycle span and residual idle background.
-    double spc = cluster_.module.timing.secondsPerCycle();
-    double span = step_sec / spc * cluster_.module.nChannels *
-                  cluster_.nModules;
-    acc.busyCycles += step_busy;
-    acc.spanCycles += span;
-
-    double busy_span_cycles =
-        (step_att_sec + (cluster_.kind == SystemKind::PimOnly
-                             ? step_fc_sec
-                             : 0.0)) /
-        spc * cluster_.module.nChannels * cluster_.plan.tp;
-    double idle = span - busy_span_cycles;
-    if (idle > 0) {
-        // Attribute idle background proportionally to phase time.
-        double tot = step_att_sec + step_fc_sec;
-        double att_share = tot > 0 ? step_att_sec / tot : 1.0;
-        EnergyBreakdown bg = backgroundEnergy(
-            static_cast<Cycle>(idle), 1,
-            EnergyParams{});
-        att_energy += bg.scaled(att_share);
-        fc_energy += bg.scaled(1.0 - att_share);
-    }
-
-    result_.attentionSeconds += step_att_sec;
-    result_.fcSeconds += step_fc_sec;
-    result_.attentionEnergy += att_energy;
-    result_.fcEnergy += fc_energy;
+    double step_sec = mb.stageBeats * step.maxStageSeconds;
+    // The step occupies every module's channels, not one tp group's.
+    double span = step_sec / cluster_.module.timing.secondsPerCycle() *
+                  cluster_.module.nChannels * cluster_.nModules;
+    accountCycle(step, span, acc);
     return step_sec;
 }
 
 EngineResult
 ServingEngine::run()
 {
-    return options_.stepModel == StepModel::Analytic ? runAnalytic()
-                                                     : runEventDriven();
+    if (options_.stepModel == StepModel::Analytic)
+        return runAnalytic();
+    prepare();
+    ev_->queue.runAll();
+    return finalize();
 }
 
 EngineResult
@@ -946,33 +873,26 @@ ServingEngine::evInFlightCount() const
 }
 
 void
-ServingEngine::evSortReadyPoolByTier()
+ServingEngine::evTakeFairShare(std::vector<Active> &into)
 {
+    EventRun &ev = *ev_;
     // Tier-segregated refills: order the pool by tier (stable, so
-    // survivors keep precedence inside a tier) and the next take
-    // forms the most tier-pure cohort the pool allows — higher
-    // tiers decode in cohorts the tier-aware arbiters can favor.
-    if (!classesActive_)
-        return;
-    std::stable_sort(ev_->readyPool.begin(), ev_->readyPool.end(),
-                     [](const Active &a, const Active &b) {
-                         return a.request.cls.tier < b.request.cls.tier;
-                     });
-}
-
-double
-ServingEngine::evRecentGapP95() const
-{
-    // SLO feedback: nearest-rank p95 over the most recent window of
-    // decode token gaps — the signal the SloAdmission gate steers
-    // on, streamed in O(log W) per gap by the windowed quantile.
-    return gapWindow_ ? gapWindow_->value() : 0.0;
-}
-
-std::size_t
-ServingEngine::evGapSamples() const
-{
-    return gapWindow_ ? gapWindow_->size() : 0;
+    // survivors keep precedence inside a tier) and the take forms
+    // the most tier-pure cohort the pool allows — higher tiers
+    // decode in cohorts the tier-aware arbiters can favor.
+    if (classesActive_)
+        std::stable_sort(ev.readyPool.begin(), ev.readyPool.end(),
+                         [](const Active &a, const Active &b) {
+                             return a.request.cls.tier <
+                                    b.request.cls.tier;
+                         });
+    std::size_t total = evInFlightCount() + ev.readyPool.size();
+    std::size_t target =
+        std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp));
+    std::size_t take = std::min<std::size_t>(target, ev.readyPool.size());
+    into.assign(std::make_move_iterator(ev.readyPool.begin()),
+                std::make_move_iterator(ev.readyPool.begin() + take));
+    ev.readyPool.erase(ev.readyPool.begin(), ev.readyPool.begin() + take);
 }
 
 void
@@ -999,10 +919,13 @@ ServingEngine::evClassGateDefers(const RequestClass &cls)
         return !ev.policy->admitPrefill(0.0, 0, evInFlightCount() > 0);
     // Budgets configured but every request default-class: there
     // are no per-tier windows, so the gate reads the global one
-    // exactly as the single-class path does.
+    // exactly as the single-class path does — the nearest-rank p95
+    // over the most recent window of decode token gaps, streamed in
+    // O(log W) per gap by the windowed quantile.
     if (tiers_.empty())
-        return !ev.policy->admitPrefill(evRecentGapP95(), evGapSamples(),
-                                        evInFlightCount() > 0);
+        return !ev.policy->admitPrefill(
+            gapWindow_ ? gapWindow_->value() : 0.0,
+            gapWindow_ ? gapWindow_->size() : 0, evInFlightCount() > 0);
     for (auto &kv : tiers_) {
         if (kv.first > cls.tier)
             break; // ascending map: only tiers <= T guard T
@@ -1029,18 +952,11 @@ ServingEngine::evStartPrefill(Active a, double now)
     EventRun &ev = *ev_;
     // A warm prefix skips its cached share: the chunk plan covers
     // only [warmTokens, context), apportioning the reduced scalar
-    // charge. warmTokens == 0 takes the cold plan bit for bit.
-    auto chunk_secs =
-        (prefixActive_ && a.warmTokens > 0)
-            ? prefillChunkSecondsFrom(model_, a.warmTokens,
-                                      a.request.contextTokens,
-                                      options_.prefillChunkTokens,
-                                      cluster_.xpu,
-                                      cluster_.prefillEngines())
-            : prefillChunkSeconds(model_, a.request.contextTokens,
-                                  options_.prefillChunkTokens,
-                                  cluster_.xpu,
-                                  cluster_.prefillEngines());
+    // charge (warmTokens == 0 is the cold plan).
+    auto chunk_secs = prefillChunkSecondsFrom(
+        model_, a.warmTokens, a.request.contextTokens,
+        options_.prefillChunkTokens, cluster_.xpu,
+        cluster_.prefillEngines());
     if (chunk_secs.empty()) {
         // Fully cached context: nothing left to prefill. A publisher
         // with an empty plan (zero-context request) opens its entry
@@ -1177,20 +1093,7 @@ ServingEngine::evOnCycleComplete(EventCohort &c, double t)
                             std::make_move_iterator(c.members.begin()),
                             std::make_move_iterator(c.members.end()));
         c.members.clear();
-        evSortReadyPoolByTier();
-        std::size_t others = evInFlightCount();
-        std::size_t total = others + ev.readyPool.size();
-        std::size_t target =
-            std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp));
-        std::size_t take =
-            std::min<std::size_t>(target, ev.readyPool.size());
-        if (take > 0) {
-            c.members.assign(
-                std::make_move_iterator(ev.readyPool.begin()),
-                std::make_move_iterator(ev.readyPool.begin() + take));
-            ev.readyPool.erase(ev.readyPool.begin(),
-                               ev.readyPool.begin() + take);
-        }
+        evTakeFairShare(c.members);
     }
     if (!c.members.empty() && !ev.capped) {
         evStartCycle(c, std::max(t, ev.prefillReady));
@@ -1225,18 +1128,8 @@ ServingEngine::evFormNewCohorts(double t)
             }
             return;
         }
-        evSortReadyPoolByTier();
-        std::size_t total = evInFlightCount() + ev.readyPool.size();
-        std::size_t target =
-            std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp));
-        std::size_t take =
-            std::min<std::size_t>(target, ev.readyPool.size());
-        ev.cohorts.push_back(EventCohort{
-            ev.nextCohortId++, 0,
-            {std::make_move_iterator(ev.readyPool.begin()),
-             std::make_move_iterator(ev.readyPool.begin() + take)}});
-        ev.readyPool.erase(ev.readyPool.begin(),
-                           ev.readyPool.begin() + take);
+        ev.cohorts.push_back(EventCohort{ev.nextCohortId++, 0, {}});
+        evTakeFairShare(ev.cohorts.back().members);
         evStartCycle(ev.cohorts.back(), std::max(t, ev.prefillReady));
     }
 }
@@ -1356,8 +1249,8 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     requireSortedByArrival(trace, "ServingEngine::declareWorkload");
-    // The constructor's activation scan, over a trace whose requests
-    // arrive later through injectArrivals: flip the class/tenant
+    // Activation scan over a trace whose requests arrive later (the
+    // constructor passes its own list): flip the class/tenant
     // machinery on and fix per-tier SLO targets before prepare()
     // allocates the per-tier windows. Per-tier request counts stay
     // zero — registerInjected counts what this engine actually
@@ -1385,7 +1278,7 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
     }
     if (tenantsActive_)
         for (const auto &timed : trace)
-            (void)tenantState(timed.request.cls.tenant);
+            (void)tenants_[timed.request.cls.tenant];
 }
 
 void
@@ -1456,7 +1349,7 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
 void
 ServingEngine::registerInjected(const TimedRequest &timed)
 {
-    // The per-request share of the constructor's bookkeeping: count
+    // The per-request share of the class/tenant bookkeeping: count
     // the request into its tier and touch its tenant. Inert on the
     // default-class, no-budget path.
     const RequestClass &cls = timed.request.cls;
@@ -1476,7 +1369,7 @@ ServingEngine::registerInjected(const TimedRequest &timed)
                 options_.sched.sloWindow, 95.0);
     }
     if (tenantsActive_)
-        (void)tenantState(cls.tenant);
+        (void)tenants_[cls.tenant];
 }
 
 void
@@ -1580,7 +1473,7 @@ ServingEngine::evacuate(bool kill_in_flight)
     ++ev.epoch;
     auto drop = [&](Active &a) {
         allocator_->release(a.request.id);
-        tenantRelease(a.request);
+        tenantRelease(a);
         releaseCacheRef(a);
         out.lostTokens += a.generated;
         out.inFlight.push_back({a.request, a.arrival});
@@ -1676,14 +1569,6 @@ ServingEngine::finalize()
     }
     finalizeResult(ev.acc, ev.batchTime, ev.capacityTime);
     return result_;
-}
-
-EngineResult
-ServingEngine::runEventDriven()
-{
-    prepare();
-    ev_->queue.runAll();
-    return finalize();
 }
 
 void

@@ -12,7 +12,9 @@
  * analytic model collapses each step into the closed-form
  * stageBeats * max_stage_sec expression; the two agree on PP=1
  * (single-cohort) configurations, where the pipeline recurrence
- * degenerates to the closed form.
+ * degenerates to the closed form. Both charge time, occupancy and
+ * energy through one rule, accountCycle(): the event core per cohort
+ * cycle, the analytic model per step (its micro-batch plans summed).
  *
  * Scope note: decode remains the focus (the paper locates the PIM
  * bottlenecks there), but prefill is now first-class work rather
@@ -279,8 +281,8 @@ class ServingEngine
      * Pre-declare the class/tenant shape of a workload whose
      * requests will be delivered later through injectArrivals():
      * activates the request-class and tenant bookkeeping (per-tier
-     * SLO targets, tenant states) exactly as the constructor does
-     * for an up-front request list. Must run before prepare(); a
+     * SLO targets, tenant states); the constructor runs it over its
+     * own request list. Must run before prepare(); a
      * purely default-class trace leaves the engine bit-identical to
      * an undeclared one.
      */
@@ -449,14 +451,18 @@ class ServingEngine
         /** This request is prefilling a new entry cold; its prefill
          *  completion marks the entry ready. */
         bool cachePublisher = false;
+
+        /** Tokens tenantReserve charged; tenantRelease refunds them. */
+        double tenantCharge = 0.0;
     };
 
     /**
      * Device-time plan for one decode cycle of one cohort
      * (micro-batch): the per-stage service time plus the cycle's
      * aggregate phase seconds, occupancy, and energy. Both step
-     * models are composed from these plans; they differ only in how
-     * plans are laid out in time.
+     * models charge plans through accountCycle(); the event core
+     * submits one per cohort cycle, the analytic step sums its
+     * micro-batches' plans into one.
      */
     struct CyclePlan
     {
@@ -554,18 +560,16 @@ class ServingEngine
     void accountCycle(const CyclePlan &plan, double span_cycles,
                       ChannelAccum &acc);
 
-    /** Seconds for one lockstep decode step of the active set. */
+    /** Seconds of one lockstep decode step (charged by accountCycle). */
     double stepSeconds(ChannelAccum &acc);
 
     EngineResult runAnalytic();
-    EngineResult runEventDriven();
     void finalizeResult(const ChannelAccum &acc, double batch_time,
                         double capacity_time);
 
-    // --- Event-driven run state (the former runEventDriven locals,
-    // --- hoisted so the run is resumable between advanceTo calls).
+    // --- Event-driven run state (resumable between advanceTo calls).
     // --- Both types live in engine.cc; the ev* methods below are
-    // --- the former run-local lambdas, one to one. ------------------
+    // --- its event handlers. -----------------------------------------
 
     /** One in-flight decode cohort (micro-batch). */
     struct EventCohort;
@@ -579,12 +583,10 @@ class ServingEngine
     /** Decoding requests across the in-flight cohorts. */
     std::size_t evInFlightCount() const;
 
-    /** Stable tier ordering of the ready pool (classes only). */
-    void evSortReadyPoolByTier();
-
-    /** Windowed p95 decode gap (0 without a gap window). */
-    double evRecentGapP95() const;
-    std::size_t evGapSamples() const;
+    /** Stable-sort the ready pool by tier (classes only), then move
+     *  a fair share, ceil((in flight + ready) / pp) and at least
+     *  one, into @p into. */
+    void evTakeFairShare(std::vector<Active> &into);
 
     /** Hoist the per-scan tier in-flight flags (class gate). */
     void evRefreshTiersInFlight();
@@ -657,21 +659,20 @@ class ServingEngine
         std::uint64_t deferrals = 0;
     };
 
-    TenantState &tenantState(unsigned tenant);
-
     /** Budget verdict for @p tenant wanting @p need more tokens. */
     bool budgetAdmits(unsigned tenant, double need, bool allow_borrow);
 
     /**
-     * Reserve / release tenant budget accounting. By default a
-     * request is charged context + decode tokens; @p charge_tokens
-     * >= 0 overrides it (prefix sharing charges shared chunks
-     * fractionally — see tryAdmitOne), and the charged amount is
-     * remembered so release refunds exactly what was reserved.
+     * Reserve @p tokens of @p request's tenant budget (context +
+     * decode tokens, or less for a warm prefix hit, which charges
+     * shared chunks fractionally — see tryAdmitOne). Returns the
+     * amount reserved (0 when tenant accounting is off), which the
+     * request carries as Active::tenantCharge.
      */
-    void tenantReserve(const Request &request,
-                       double charge_tokens = -1.0);
-    void tenantRelease(const Request &request);
+    double tenantReserve(const Request &request, double tokens);
+
+    /** Refund @p a's tenantCharge to its tenant. */
+    void tenantRelease(const Active &a);
 
     /** Advance the per-tenant occupancy integrals by @p dt. */
     void integrateTenantShares(double dt);
@@ -708,9 +709,6 @@ class ServingEngine
 
     /** options_.prefixCache.enabled (hot-path guard). */
     bool prefixActive_ = false;
-
-    /** Fractional tenant charges by request id (refunded exactly). */
-    std::unordered_map<RequestId, double> prefixTenantCharge_;
 
     /** Peak shared/unique custody samples (EngineResult). */
     Bytes prefixSharedPeak_ = 0;
@@ -759,7 +757,7 @@ class ServingEngine
 
     /**
      * Streaming p95 over the sliding SLO window of decode token
-     * gaps; allocated in runEventDriven only when the policy steers
+     * gaps; allocated in prepare() only when the policy steers
      * on the gap signal. advanceMember feeds it as gaps are
      * produced, so the admission gate reads the windowed percentile
      * in O(1) instead of copying and sorting the window per decode

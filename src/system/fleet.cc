@@ -178,6 +178,8 @@ FleetEngine::run()
         fleet.replicas.push_back(eng->finalize());
     engines_.clear();
     fleet.aggregate = aggregateResults(fleet.replicas);
+    for (auto &cl : fleet.aggregate.classLatencies)
+        cl.requests -= tierRetries_[cl.tier];
 
     // Goodput: decode tokens of requests that actually completed
     // somewhere (integer sums, so iteration order cannot perturb
@@ -449,6 +451,7 @@ FleetEngine::drive()
             } else {
                 timed = retries.front().timed;
                 retries.pop_front();
+                ++tierRetries_[timed.request.cls.tier];
             }
             std::size_t r = pickReplica(timed);
             timed.arrivalSeconds =

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -158,7 +159,9 @@ struct FleetResult
      * weighted by each replica's sample count; p95s are the max over
      * replicas — a conservative bound, since exact fleet percentiles
      * would need the merged sample sets the replicas no longer hold.
-     * A deterministic function of the per-replica results.
+     * Per-tier request counts are distinct requests: a failed-over
+     * request counts once, not once per replica it was offered to.
+     * Otherwise a deterministic function of the per-replica results.
      */
     EngineResult aggregate;
 
@@ -328,6 +331,10 @@ class FleetEngine
 
     /** Session -> replica pin, recorded at first routing. */
     std::unordered_map<SessionId, std::size_t> sessionReplica_;
+
+    /** Retry injections per tier: each re-registers its request on
+     *  the receiving replica, so the aggregate subtracts them. */
+    std::map<unsigned, std::uint64_t> tierRetries_;
 
     std::size_t rrNext_ = 0;
     bool ran_ = false;

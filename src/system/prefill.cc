@@ -33,55 +33,6 @@ prefillSeconds(const LlmConfig &model, Tokens tokens,
     return std::max(compute, weights);
 }
 
-std::vector<PrefillChunk>
-prefillChunks(const LlmConfig &model, Tokens tokens, Tokens chunk_tokens)
-{
-    std::vector<PrefillChunk> out;
-    if (tokens == 0)
-        return out;
-    if (chunk_tokens == 0)
-        chunk_tokens = tokens;
-    out.reserve(static_cast<std::size_t>(
-        ceilDiv<Tokens>(tokens, chunk_tokens)));
-    double linear_per_token =
-        2.0 * static_cast<double>(model.paramCount());
-    double attn_coeff = 2.0 * model.nLayers * model.nHeads * model.headDim;
-    for (Tokens start = 0; start < tokens; start += chunk_tokens) {
-        PrefillChunk c;
-        c.firstToken = start;
-        c.tokens = std::min<Tokens>(chunk_tokens, tokens - start);
-        Tokens end = start + c.tokens;
-        // Causal attention of the chunk's tokens against everything
-        // before and inside the chunk: the e^2 - s^2 split telescopes
-        // to the T^2 term of prefillFlops() across chunks.
-        double pairs = static_cast<double>(end) * end -
-                       static_cast<double>(start) * start;
-        c.flops = linear_per_token * static_cast<double>(c.tokens) +
-                  attn_coeff * pairs;
-        out.push_back(c);
-    }
-    return out;
-}
-
-std::vector<double>
-prefillChunkSeconds(const LlmConfig &model, Tokens tokens,
-                    Tokens chunk_tokens, const XpuConfig &config,
-                    unsigned n_engines)
-{
-    auto chunks = prefillChunks(model, tokens, chunk_tokens);
-    std::vector<double> out;
-    out.reserve(chunks.size());
-    if (chunks.empty())
-        return out;
-    double total_flops = 0.0;
-    for (const auto &c : chunks)
-        total_flops += c.flops;
-    double total_sec = prefillSeconds(model, tokens, config, n_engines);
-    for (const auto &c : chunks)
-        out.push_back(total_sec * c.flops / total_flops);
-    return out;
-}
-
 double
 prefillSecondsFrom(const LlmConfig &model, Tokens cached, Tokens total,
                    const XpuConfig &config, unsigned n_engines)
@@ -115,6 +66,9 @@ prefillChunksFrom(const LlmConfig &model, Tokens cached, Tokens total,
         c.firstToken = start;
         c.tokens = std::min<Tokens>(chunk_tokens, total - start);
         Tokens end = start + c.tokens;
+        // Causal attention of the chunk's tokens against everything
+        // before and inside the chunk: the e^2 - s^2 split telescopes
+        // to the T^2 term of prefillFlops() across chunks.
         double pairs = static_cast<double>(end) * end -
                        static_cast<double>(start) * start;
         c.flops = linear_per_token * static_cast<double>(c.tokens) +

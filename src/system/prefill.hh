@@ -9,12 +9,14 @@
  * PIM-only systems assume prefill elsewhere), the NeuPIMs-like system
  * on its NPUs, the GPU baseline on the GPUs.
  *
- * The chunk planner splits one request's prefill into fixed-size
- * token chunks for the event-driven engine: each chunk becomes a
- * pipeline work item on the xPU stage timelines, and the causal
- * attention term makes later chunks (which attend to everything
- * before them) more expensive. Per-chunk seconds apportion the
- * scalar prefillSeconds() charge by chunk FLOPs, so the chunked total
+ * One planner family, prefillChunksFrom() / prefillChunkSecondsFrom(),
+ * splits the not-yet-cached tail [cached, total) of one request's
+ * context into fixed-size token chunks for the event-driven engine
+ * (cached == 0 for a cold prefill): each chunk becomes a pipeline
+ * work item on the xPU stage timelines, and the causal attention
+ * term makes later chunks (which attend to everything before them)
+ * more expensive. Per-chunk seconds apportion the scalar
+ * prefillSecondsFrom() charge by chunk FLOPs, so the chunked total
  * matches the unchunked charge exactly.
  */
 
@@ -51,30 +53,10 @@ struct PrefillChunk
     /**
      * FLOPs of this chunk: its share of the linear stack plus the
      * causal attention over every token before and inside it. Sums
-     * to prefillFlops() across a request's chunks.
+     * to prefillFlops() across the chunks of a cold plan.
      */
     double flops = 0.0;
 };
-
-/**
- * Split @p tokens of context into chunks of at most @p chunk_tokens
- * (the last chunk takes the remainder; chunk_tokens == 0 means one
- * chunk). Returns an empty plan for an empty context.
- */
-std::vector<PrefillChunk> prefillChunks(const LlmConfig &model,
-                                        Tokens tokens,
-                                        Tokens chunk_tokens);
-
-/**
- * Per-chunk seconds for the plan prefillChunks() produces:
- * prefillSeconds(model, tokens, config, n_engines) apportioned by
- * chunk FLOPs, so the values sum exactly to the scalar charge.
- */
-std::vector<double> prefillChunkSeconds(const LlmConfig &model,
-                                        Tokens tokens,
-                                        Tokens chunk_tokens,
-                                        const XpuConfig &config,
-                                        unsigned n_engines);
 
 /**
  * Warm-prefix delta prefill: seconds to extend an already-prefilled
@@ -89,20 +71,24 @@ double prefillSecondsFrom(const LlmConfig &model, Tokens cached,
                           unsigned n_engines);
 
 /**
- * Chunk plan for the delta prefill of [cached, total): the same
- * e^2 - s^2 causal-attention split as prefillChunks() applied to the
- * tail only — the delta tokens still attend to the cached prefix.
- * Chunk FLOPs sum to prefillFlops(total) - prefillFlops(cached);
- * cached == 0 reproduces prefillChunks() exactly.
+ * Chunk plan for the prefill of context tokens [@p cached, @p total):
+ * chunks of at most @p chunk_tokens (the last takes the remainder;
+ * chunk_tokens == 0 means one chunk), empty when nothing is left to
+ * prefill. Each chunk's causal attention covers every token before
+ * and inside it (the e^2 - s^2 split), so the delta tokens of a warm
+ * prefix still attend to the cached part, and the chunk FLOPs sum to
+ * prefillFlops(total) - prefillFlops(cached). cached == 0 is the
+ * cold plan.
  */
 std::vector<PrefillChunk> prefillChunksFrom(const LlmConfig &model,
                                             Tokens cached, Tokens total,
                                             Tokens chunk_tokens);
 
 /**
- * Per-chunk seconds for the delta plan: prefillSecondsFrom()
- * apportioned by chunk FLOPs, summing exactly to the scalar delta
- * charge (the warm analogue of prefillChunkSeconds()).
+ * Per-chunk seconds for prefillChunksFrom(): prefillSecondsFrom()
+ * apportioned by chunk FLOPs, so the values sum exactly to the scalar
+ * charge. cached == 0 apportions prefillSeconds(total) bit for bit
+ * (prefillSeconds(0) is exactly 0).
  */
 std::vector<double> prefillChunkSecondsFrom(const LlmConfig &model,
                                             Tokens cached, Tokens total,

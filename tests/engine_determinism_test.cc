@@ -6,14 +6,16 @@
  *
  * Two layers of protection:
  *
- *  - Golden metrics: seeded configurations pinned to the values the
- *    pre-overhaul engine produced (captured at hex-float precision).
- *    Every simulated quantity — event times, percentiles,
- *    throughput, policy counters — must match to double precision;
- *    the three avg* summary means are pinned to 1e-12 relative
- *    because finalizeResult now sums samples in production order
- *    instead of ascending order (same samples, same count; only the
- *    last-ulp rounding of the sum differs).
+ *  - Golden metrics: seeded configurations pinned at hex-float
+ *    precision to the values the pre-overhaul engine produced (the
+ *    phase-energy pins and the analytic micro-batch config came
+ *    later, captured from the engine of their time). Every
+ *    simulated quantity — event times, percentiles, throughput,
+ *    policy counters, phase energies — must match to double
+ *    precision; the three avg* summary means are pinned to 1e-12
+ *    relative because finalizeResult now sums samples in production
+ *    order instead of ascending order (same samples, same count;
+ *    only the last-ulp rounding of the sum differs).
  *
  *  - Run-to-run: the same engine object graph run twice in one
  *    process must be bit-identical in every field, which is what the
@@ -24,6 +26,7 @@
 
 #include <vector>
 
+#include "result_compare.hh"
 #include "system/engine.hh"
 #include "system/sched_policy.hh"
 #include "workload/arrival.hh"
@@ -102,6 +105,45 @@ runConfigD()
     return ServingEngine(cluster, model, timed, opts).run();
 }
 
+/**
+ * Analytic PP=4 open loop with the scalar prefill charge: steps split
+ * the active set into several micro-batches, and the XpuPim system
+ * leaves most channel-cycles idle, so the step charges idle
+ * background energy on top of the per-micro-batch plans.
+ */
+EngineResult
+runConfigE()
+{
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    cluster.plan = ParallelPlan{cluster.nModules / 4, 4};
+    applyOptions(cluster, PimphonyOptions::all());
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 32; ++i)
+        reqs.push_back({i, (i % 3 == 0) ? Tokens(8000) : Tokens(1000),
+                        64});
+    auto timed = poissonArrivals(reqs, 12.0, 23);
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    opts.stepModel = StepModel::Analytic;
+    opts.chargePrefill = true;
+    return ServingEngine(cluster, model, timed, opts).run();
+}
+
+/** Energy components, pinned like every other simulated double. */
+void
+expectEnergy(const EnergyBreakdown &e, double mac, double io,
+             double background, double act_pre, double refresh,
+             double other)
+{
+    EXPECT_DOUBLE_EQ(e.mac, mac);
+    EXPECT_DOUBLE_EQ(e.io, io);
+    EXPECT_DOUBLE_EQ(e.background, background);
+    EXPECT_DOUBLE_EQ(e.actPre, act_pre);
+    EXPECT_DOUBLE_EQ(e.refreshE, refresh);
+    EXPECT_DOUBLE_EQ(e.elseE, other);
+}
+
 /** avg* fields: pinned to relative 1e-12 (summation-order change). */
 void
 expectAvgNear(double actual, double golden)
@@ -135,6 +177,11 @@ TEST(EngineGolden, EventDrivenPp4FifoChunked)
     EXPECT_EQ(r.sloDeferrals, 0u);
     EXPECT_EQ(r.chunkSlices, 0u);
     EXPECT_EQ(r.decodeOvertakes, 0u);
+    expectEnergy(r.attentionEnergy, 0x1.275p+42, 0x1.545p+39,
+                 0x1.312c1575ab20dp+41, 0x1.d01p+35, 0x1.a5ep+34,
+                 0x1.0ep+39);
+    expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.6dd6abd9e35f2p+41, 0.0, 0.0,
+                 0x1.b9999999999a5p+42);
 }
 
 TEST(EngineGolden, EventDrivenPp2SloAdmission)
@@ -154,6 +201,10 @@ TEST(EngineGolden, EventDrivenPp2SloAdmission)
     // streaming windowed p95 reproduces the copy+sort signal: one
     // different percentile read would shift admissions.
     EXPECT_EQ(r.sloDeferrals, 73u);
+    expectEnergy(r.attentionEnergy, 0x1.b58p+41, 0x1.b8p+38,
+                 0x1.f0e4922a44a27p+40, 0x1.194p+35, 0.0, 0x1.9p+38);
+    expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.14ab99678daeep+41, 0.0, 0.0,
+                 0x1.266666666664cp+41);
 }
 
 TEST(EngineGolden, AnalyticPp1)
@@ -172,6 +223,11 @@ TEST(EngineGolden, AnalyticPp1)
     EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.93ba17cf90b2ap-7);
     EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.93d3dce16cedp-7);
     expectAvgNear(r.avgTokenGapSeconds, 0x1.93ccfda97677ep-7);
+    expectEnergy(r.attentionEnergy, 0x1.98cap+40, 0x1.930cp+37,
+                 0x1.74aa494929defp+39, 0x1.0eb4p+34, 0x1.3c68p+33,
+                 0x1.75cp+37);
+    expectEnergy(r.fcEnergy, 0x1.1c6p+40, 0x1.f15dp+38,
+                 0x1.47bc36b6d6211p+39, 0x1.6dap+35, 0.0, 0x1.04p+37);
 }
 
 TEST(EngineGolden, EventDrivenChunkPreempt)
@@ -187,44 +243,48 @@ TEST(EngineGolden, EventDrivenChunkPreempt)
     // Quantum-slicing counters: preemption accounting is exact.
     EXPECT_EQ(r.chunkSlices, 5808u);
     EXPECT_EQ(r.decodeOvertakes, 168u);
+    expectEnergy(r.attentionEnergy, 0x1.ec3p+40, 0x1.efp+37,
+                 0x1.659c15b8fe361p+40, 0x1.518p+34, 0x1.a5ep+33,
+                 0x1.c2p+37);
+    expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.7547c9ed41ca1p+40, 0.0, 0.0,
+                 0x1.b9999999999b3p+39);
+}
+
+TEST(EngineGolden, AnalyticPp4MicroBatchesChargePrefill)
+{
+    auto r = runConfigE();
+    EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.f05ce746442b8p+8);
+    EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.08109a9106fe8p+2);
+    EXPECT_EQ(r.generatedTokens, 2048u);
+    EXPECT_EQ(r.completedRequests, 32u);
+    // Several micro-batches per step on average (pp = 4).
+    EXPECT_DOUBLE_EQ(r.avgEffectiveBatch, 0x1.88433f93dae56p+2);
+    EXPECT_DOUBLE_EQ(r.macUtilization, 0x1.0ec348508329ep-4);
+    EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.69b8ee5a5a253p-6);
+    EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.f56dd5c670923p+0);
+    EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.eb8ce82273e9cp+2);
+    EXPECT_DOUBLE_EQ(r.prefillSeconds, 0x1.dfff2e9ecee2dp+0);
+    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.d89d88b4096b9p+0);
+    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.85f4cb3320d5p-2);
+    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.c6837dd8f72cp-6);
+    expectAvgNear(r.avgRequestLatency, 0x1.83a36ebe151cbp+0);
+    expectAvgNear(r.avgFirstTokenSeconds, 0x1.5d1f98b7de53dp-3);
+    expectAvgNear(r.avgTokenGapSeconds, 0x1.5d7550eac462fp-6);
+    EXPECT_EQ(r.preemptions, 0u);
+    EXPECT_EQ(r.rejectedRequests, 0u);
+    expectEnergy(r.attentionEnergy, 0x1.6378p+41, 0x1.e14p+38,
+                 0x1.499af84e2d819p+41, 0x1.2e58p+35, 0.0, 0x1.45p+38);
+    expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.ab86ff802e3edp+42, 0.0, 0.0,
+                 0x1.2666666666663p+43);
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreBitIdentical)
 {
-    for (int cfg = 0; cfg < 4; ++cfg) {
-        EngineResult a, b;
-        switch (cfg) {
-          case 0: a = runConfigA(); b = runConfigA(); break;
-          case 1: a = runConfigB(); b = runConfigB(); break;
-          case 2: a = runConfigC(); b = runConfigC(); break;
-          default: a = runConfigD(); b = runConfigD(); break;
-        }
-        EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond) << cfg;
-        EXPECT_EQ(a.simulatedSeconds, b.simulatedSeconds) << cfg;
-        EXPECT_EQ(a.generatedTokens, b.generatedTokens) << cfg;
-        EXPECT_EQ(a.completedRequests, b.completedRequests) << cfg;
-        EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch) << cfg;
-        EXPECT_EQ(a.macUtilization, b.macUtilization) << cfg;
-        EXPECT_EQ(a.capacityUtilization, b.capacityUtilization) << cfg;
-        EXPECT_EQ(a.attentionSeconds, b.attentionSeconds) << cfg;
-        EXPECT_EQ(a.fcSeconds, b.fcSeconds) << cfg;
-        EXPECT_EQ(a.prefillSeconds, b.prefillSeconds) << cfg;
-        EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency) << cfg;
-        EXPECT_EQ(a.p95RequestLatency, b.p95RequestLatency) << cfg;
-        EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds) << cfg;
-        EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds) << cfg;
-        EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds) << cfg;
-        EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds) << cfg;
-        EXPECT_EQ(a.sloDeferrals, b.sloDeferrals) << cfg;
-        EXPECT_EQ(a.chunkSlices, b.chunkSlices) << cfg;
-        EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes) << cfg;
-        EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds)
-            << cfg;
-        EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds)
-            << cfg;
-        EXPECT_EQ(a.simEvents, b.simEvents) << cfg;
-        EXPECT_EQ(a.preemptions, b.preemptions) << cfg;
-        EXPECT_EQ(a.rejectedRequests, b.rejectedRequests) << cfg;
+    const std::vector<EngineResult (*)()> configs = {
+        runConfigA, runConfigB, runConfigC, runConfigD, runConfigE};
+    for (std::size_t cfg = 0; cfg < configs.size(); ++cfg) {
+        SCOPED_TRACE(cfg);
+        expectSameResult(configs[cfg](), configs[cfg]());
     }
 }
 

@@ -339,6 +339,37 @@ TEST(FleetFaults, CrashMidDecodeFailsOverWithExactTokenAccounting)
     EXPECT_EQ(fleet.availability[0], 1.0);
 }
 
+TEST(FleetFaults, FailoverRetriesDoNotInflateTierRequestCounts)
+{
+    // The crash fixture above with alternating tiers: a failed-over
+    // request is registered again on the replica that retries it,
+    // but the aggregate per-tier count must stay the number of
+    // distinct requests of that tier.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(24, 64.0, 24, 256);
+    for (auto &timed : trace)
+        timed.request.cls.tier = timed.request.id % 2;
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.faults.replicas.resize(2);
+    fopts.faults.replicas[1].push_back(crashAt(0.5));
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+    EXPECT_GT(fleet.retriedRequests, 0u);
+    EXPECT_EQ(fleet.lostRequests, 0u);
+    ASSERT_EQ(fleet.aggregate.classLatencies.size(), 2u);
+    for (const auto &cl : fleet.aggregate.classLatencies) {
+        EXPECT_EQ(cl.requests, trace.size() / 2) << "tier " << cl.tier;
+        EXPECT_EQ(cl.completedRequests, trace.size() / 2)
+            << "tier " << cl.tier;
+    }
+}
+
 TEST(FleetFaults, DeadFleetLosesTheRemainderExactly)
 {
     auto model = testModel();

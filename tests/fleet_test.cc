@@ -27,6 +27,7 @@
 #include "result_compare.hh"
 #include "system/engine.hh"
 #include "system/fleet.hh"
+#include "system/sched_policy.hh"
 #include "workload/arrival.hh"
 #include "workload/spec.hh"
 #include "workload/trace.hh"
@@ -92,6 +93,47 @@ TEST(FleetEngine, OneReplicaZeroLookaheadMatchesBareEngine)
     expectSameResult(fleet.replicas[0], bare);
     // With one replica the aggregate inherits the replica's metrics.
     expectSameResult(fleet.aggregate, bare);
+}
+
+TEST(FleetEngine, OneReplicaMatchesBareEngineWithClassesAndBudgets)
+{
+    // The bare engine registers its classes and tenants from the
+    // constructor's request list; a fleet replica starts empty and
+    // learns them through declareWorkload + injectArrivals. Both
+    // routes must set up the identical tier and tenant state.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 48; ++i) {
+        Request r{i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000), 16};
+        r.cls.tier = i % 3;
+        r.cls.tenant = i % 2;
+        if (r.cls.tier == 0)
+            r.cls.gapSloSeconds = 0.05;
+        reqs.push_back(r);
+    }
+    auto trace = gammaArrivals(reqs, 24.0, 3.0, 13);
+
+    for (SchedPolicyKind kind :
+         {SchedPolicyKind::SloAdmission, SchedPolicyKind::TierPriority}) {
+        SCOPED_TRACE(schedPolicyName(kind));
+        EngineOptions opts = testEngineOptions();
+        opts.sched.kind = kind;
+        opts.tenantBudgets = {{0, 0.3}, {1, 0.5}};
+        auto bare = ServingEngine(cluster, model, trace, opts).run();
+
+        FleetOptions fopts;
+        fopts.replicas = 1;
+        fopts.dispatchLatencySeconds = 0.0;
+        fopts.engine = opts;
+        auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+        ASSERT_GT(bare.completedRequests, 0u);
+        ASSERT_EQ(bare.classLatencies.size(), 3u);
+        ASSERT_EQ(bare.tenantOccupancy.size(), 2u);
+        ASSERT_EQ(fleet.replicas.size(), 1u);
+        expectSameResult(fleet.replicas[0], bare);
+    }
 }
 
 TEST(FleetEngine, OneReplicaLookaheadMatchesShiftedBareEngine)

@@ -30,7 +30,7 @@ TEST(PrefillChunks, CoverContextAndConserveFlops)
 {
     auto model = LlmConfig::llm7b(true);
     const Tokens ctx = 10000, chunk = 3000;
-    auto chunks = prefillChunks(model, ctx, chunk);
+    auto chunks = prefillChunksFrom(model, 0, ctx, chunk);
     ASSERT_EQ(chunks.size(), 4u); // 3000 + 3000 + 3000 + 1000
     Tokens covered = 0;
     double flops = 0.0;
@@ -52,11 +52,11 @@ TEST(PrefillChunks, CoverContextAndConserveFlops)
 TEST(PrefillChunks, EdgeCases)
 {
     auto model = LlmConfig::llm7b(true);
-    EXPECT_TRUE(prefillChunks(model, 0, 512).empty());
+    EXPECT_TRUE(prefillChunksFrom(model, 0, 0, 512).empty());
     // chunk_tokens == 0 or >= tokens: one chunk.
-    EXPECT_EQ(prefillChunks(model, 100, 0).size(), 1u);
-    EXPECT_EQ(prefillChunks(model, 100, 4096).size(), 1u);
-    EXPECT_EQ(prefillChunks(model, 4096, 4096).size(), 1u);
+    EXPECT_EQ(prefillChunksFrom(model, 0, 100, 0).size(), 1u);
+    EXPECT_EQ(prefillChunksFrom(model, 0, 100, 4096).size(), 1u);
+    EXPECT_EQ(prefillChunksFrom(model, 0, 4096, 4096).size(), 1u);
 }
 
 TEST(PrefillChunks, SecondsSumToScalarCharge)
@@ -65,7 +65,7 @@ TEST(PrefillChunks, SecondsSumToScalarCharge)
     auto cfg = XpuConfig::neupimsNpu();
     const Tokens ctx = 57000;
     for (Tokens chunk : {Tokens{512}, Tokens{2048}, Tokens{60000}}) {
-        auto secs = prefillChunkSeconds(model, ctx, chunk, cfg, 4);
+        auto secs = prefillChunkSecondsFrom(model, 0, ctx, chunk, cfg, 4);
         double sum = 0.0;
         for (double s : secs)
             sum += s;
