@@ -20,7 +20,8 @@
  *  - EventQueue schedule/dispatch: O(log E) heap sift, no per-event
  *    heap allocation (sim::SimFn small-buffer callbacks, counted
  *    fallback asserted zero in tests/sim_core_test.cc).
- *  - Device submit/complete: O(1) amortized (in-flight ring).
+ *  - Device submit: O(1) timeline arithmetic; an event only when the
+ *    caller observes the completion.
  *  - StagePipeline chain/sequence: pooled state, O(1) per stage
  *    hand-off.
  *  - SLO gate: O(log W) per decode gap (WindowedQuantile), O(1) per
@@ -34,7 +35,9 @@
  * run against the serial rows). Timing fields (wall_ms,
  * events_per_sec) vary with the machine; the CI perf gate compares
  * events_per_sec against the committed baseline BENCH_simperf.json
- * at the repo root to keep the perf trajectory visible per commit.
+ * at the repo root to keep the perf trajectory visible per commit,
+ * and prints each row's wall_ms ratio too: events/sec stops tracking
+ * speed when a change removes events, wall time does not.
  *
  * Interpretation note for the sweep runner: wall_ms and
  * events_per_sec are *per-config* timings measured inside the cell —
@@ -185,7 +188,8 @@ runFleetConfig(const FleetRowConfig &cfg, int reps, double &best_wall)
     return r;
 }
 
-void
+/** @return false when any row stopped at the engine's cycle cap. */
+bool
 servingScale(const bench::BenchArgs &args)
 {
     std::vector<ServingConfig> configs;
@@ -221,6 +225,9 @@ servingScale(const bench::BenchArgs &args)
         EngineResult result;
         double bestWall = 0.0;
     };
+    // A capped run's events/sec and tokens look normal but cover only
+    // part of the trace; such a row must fail the bench, not the gate.
+    std::vector<std::string> truncated;
     auto cells =
         bench::runSweep(args, configs.size(), [&](std::size_t i) {
             ConfigRun run;
@@ -233,6 +240,8 @@ servingScale(const bench::BenchArgs &args)
         const auto &cfg = configs[i];
         const EngineResult &r = cells[i].value.result;
         double wall = cells[i].value.bestWall;
+        if (r.truncated)
+            truncated.push_back(configName(cfg));
         double eps = wall > 0.0
                          ? static_cast<double>(r.simEvents) / wall
                          : 0.0;
@@ -288,6 +297,8 @@ servingScale(const bench::BenchArgs &args)
         const auto &cfg = fleet_configs[i];
         const EngineResult &r = fleet_cells[i].value.result;
         double wall = fleet_cells[i].value.bestWall;
+        if (r.truncated)
+            truncated.push_back(fleetConfigName(cfg));
         double eps = wall > 0.0
                          ? static_cast<double>(r.simEvents) / wall
                          : 0.0;
@@ -328,6 +339,10 @@ servingScale(const bench::BenchArgs &args)
         else
             std::cerr << "failed to write " << args.jsonPath << "\n";
     }
+    for (const std::string &name : truncated)
+        std::cerr << "error: " << name
+                  << " stopped at the cycle cap (truncated run)\n";
+    return truncated.empty();
 }
 
 // --- Microbenchmark section (--micro). -------------------------------
@@ -443,6 +458,5 @@ main(int argc, char **argv)
         argc, argv,
         "simulator performance: serving-scale events/sec (default) or "
         "--micro kernel benchmarks");
-    servingScale(args);
-    return 0;
+    return servingScale(args) ? 0 : 1;
 }

@@ -87,14 +87,13 @@ LazyChunkAllocator::chunksFor(Tokens tokens) const
 bool
 LazyChunkAllocator::tryAdmit(RequestId id, Tokens tokens)
 {
-    if (tokens_.count(id))
+    if (holds_.count(id))
         panic("request %u admitted twice", id);
     std::uint64_t need = chunksFor(tokens);
     if (chunksInUse_ + need > totalChunks_)
         return false;
     chunksInUse_ += need;
-    chunks_[id] = need;
-    tokens_[id] = tokens;
+    holds_[id] = Hold{tokens, need};
     totalTokens_ += tokens;
     ++host_; // host installs the VA2PA mapping for the new request
     return true;
@@ -103,36 +102,33 @@ LazyChunkAllocator::tryAdmit(RequestId id, Tokens tokens)
 bool
 LazyChunkAllocator::grow(RequestId id, Tokens tokens)
 {
-    auto it = tokens_.find(id);
-    if (it == tokens_.end())
+    // One probe: grow runs once per decoded token.
+    auto it = holds_.find(id);
+    if (it == holds_.end())
         panic("grow on unknown request %u", id);
-    // One probe for the chunk count: grow runs once per decoded
-    // token, so the repeated operator[] probes showed up at sweep
-    // scale.
-    std::uint64_t &have = chunks_[id];
+    Hold &h = it->second;
     std::uint64_t need = chunksFor(tokens);
-    if (need > have) {
-        if (chunksInUse_ + (need - have) > totalChunks_)
+    if (need > h.chunks) {
+        if (chunksInUse_ + (need - h.chunks) > totalChunks_)
             return false;
-        chunksInUse_ += need - have;
-        have = need;
+        chunksInUse_ += need - h.chunks;
+        h.chunks = need;
         ++host_; // chunk-granular: host touched only on new chunks
     }
-    totalTokens_ += tokens - it->second;
-    it->second = tokens;
+    totalTokens_ += tokens - h.tokens;
+    h.tokens = tokens;
     return true;
 }
 
 void
 LazyChunkAllocator::release(RequestId id)
 {
-    auto it = tokens_.find(id);
-    if (it == tokens_.end())
+    auto it = holds_.find(id);
+    if (it == holds_.end())
         panic("release on unknown request %u", id);
-    chunksInUse_ -= chunks_[id];
-    chunks_.erase(id);
-    totalTokens_ -= it->second;
-    tokens_.erase(it);
+    chunksInUse_ -= it->second.chunks;
+    totalTokens_ -= it->second.tokens;
+    holds_.erase(it);
     ++host_;
 }
 

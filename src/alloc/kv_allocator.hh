@@ -143,10 +143,16 @@ class LazyChunkAllocator : public KvAllocator
     Bytes va2paBytes() const { return chunksInUse_ * 8; }
 
   private:
+    /** One request's reservation: tokens held and chunks backing them. */
+    struct Hold
+    {
+        Tokens tokens;
+        std::uint64_t chunks;
+    };
+
     Bytes chunk_;
-    std::unordered_map<RequestId, Tokens> tokens_;
-    Tokens totalTokens_ = 0; ///< running sum of tokens_ values
-    std::unordered_map<RequestId, std::uint64_t> chunks_;
+    std::unordered_map<RequestId, Hold> holds_;
+    Tokens totalTokens_ = 0; ///< running sum of holds_ tokens
     std::uint64_t chunksInUse_ = 0;
     std::uint64_t totalChunks_;
     std::uint64_t host_ = 0;

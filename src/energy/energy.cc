@@ -2,31 +2,6 @@
 
 namespace pimphony {
 
-EnergyBreakdown &
-EnergyBreakdown::operator+=(const EnergyBreakdown &o)
-{
-    mac += o.mac;
-    io += o.io;
-    background += o.background;
-    actPre += o.actPre;
-    refreshE += o.refreshE;
-    elseE += o.elseE;
-    return *this;
-}
-
-EnergyBreakdown
-EnergyBreakdown::scaled(double f) const
-{
-    EnergyBreakdown e = *this;
-    e.mac *= f;
-    e.io *= f;
-    e.background *= f;
-    e.actPre *= f;
-    e.refreshE *= f;
-    e.elseE *= f;
-    return e;
-}
-
 EnergyBreakdown
 kernelEnergy(const ScheduleResult &result, const EnergyParams &params)
 {

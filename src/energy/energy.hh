@@ -55,10 +55,31 @@ struct EnergyBreakdown
         return mac + io + background + actPre + refreshE + elseE;
     }
 
-    EnergyBreakdown &operator+=(const EnergyBreakdown &o);
+    EnergyBreakdown &
+    operator+=(const EnergyBreakdown &o)
+    {
+        mac += o.mac;
+        io += o.io;
+        background += o.background;
+        actPre += o.actPre;
+        refreshE += o.refreshE;
+        elseE += o.elseE;
+        return *this;
+    }
 
     /** Scale all components (e.g. replicate across channels). */
-    EnergyBreakdown scaled(double f) const;
+    EnergyBreakdown
+    scaled(double f) const
+    {
+        EnergyBreakdown e = *this;
+        e.mac *= f;
+        e.io *= f;
+        e.background *= f;
+        e.actPre *= f;
+        e.refreshE *= f;
+        e.elseE *= f;
+        return e;
+    }
 };
 
 /**

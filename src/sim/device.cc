@@ -12,34 +12,13 @@ double
 Device::submit(EventQueue &queue, const WorkItem &item, double ready,
                CompletionFn done)
 {
-    double start = std::max(ready, busyUntil_);
-    double completion = start + item.seconds;
+    double completion = std::max(ready, busyUntil_) + item.seconds;
     busyUntil_ = completion;
     busySeconds_ += item.seconds;
-    // Completion times on a FIFO timeline are monotone, so the
-    // completion events of this device fire in submission order: the
-    // event only needs the device pointer, and the item + callback
-    // wait in the reusable in-flight ring (no per-event closure
-    // state, no allocation).
-    inflight_.push(InFlight{item, std::move(done)});
-    queue.schedule(completion, [this](double t) { completeFront(t); });
-    return completion;
-}
-
-void
-Device::completeFront(double t)
-{
-    InFlight f = std::move(inflight_.front());
-    inflight_.pop();
     ++completed_;
-    onComplete(f.item, t);
-    if (f.done)
-        f.done(t);
-}
-
-void
-Device::onComplete(const WorkItem &, double)
-{
+    if (done)
+        queue.schedule(completion, std::move(done));
+    return completion;
 }
 
 double

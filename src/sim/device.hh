@@ -4,10 +4,11 @@
  *
  * A Device is a FIFO-serial timeline: work submitted with a ready
  * time begins at max(ready, busyUntil()) and completes after its
- * service time. Submission is synchronous on the timeline arithmetic
- * (so callers can chain stages deterministically) while completion
- * notifications are delivered through the event queue, keeping all
- * observable ordering in event time.
+ * service time. Submission is pure timeline arithmetic (so callers
+ * can chain stages deterministically); a caller that observes the
+ * completion passes a callback, which is scheduled on the event
+ * queue at the completion time. Work submitted without a callback
+ * costs no event at all.
  *
  * A QueuedDevice generalizes the timeline to queue-based arbitration:
  * items wait in a pending queue and a QueueArbiter picks the next one
@@ -21,11 +22,9 @@
  * a congestion-free estimate.
  *
  * Performance contract: completion callbacks are sim::SimFn
- * (small-buffer, no heap), and a device keeps its in-flight items in
- * a reusable FIFO ring instead of capturing them in per-event
- * closures — the FIFO timeline's completion times are monotone, so
- * completion events pop the ring in order. Steady-state submission
- * therefore allocates nothing.
+ * (small-buffer, no heap) stored inline in the event heap, and a
+ * Device keeps no per-item state, so steady-state submission
+ * allocates nothing.
  */
 
 #ifndef PIMPHONY_SIM_DEVICE_HH
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/small_fn.hh"
 #include "sim/work_item.hh"
 
@@ -60,38 +58,25 @@ class Device
     /** Total service seconds accepted (occupancy accounting). */
     virtual double busySeconds() const { return busySeconds_; }
 
+    /** Items accepted; each completes at its reserved time. */
     virtual std::uint64_t completedItems() const { return completed_; }
 
     /**
      * Submit @p item, eligible to start at @p ready. The item begins
      * at max(ready, busyUntil()) and occupies the device for
      * item.seconds. @p done (optional) is scheduled on @p queue at
-     * the completion time, after the device's own onComplete hook.
+     * the completion time; without it nothing is scheduled.
      *
      * @return the completion time.
      */
     virtual double submit(EventQueue &queue, const WorkItem &item,
                           double ready, CompletionFn done = nullptr);
 
-  protected:
-    /** Hook observed at completion time (via the event queue). */
-    virtual void onComplete(const WorkItem &item, double completion);
-
   private:
-    struct InFlight
-    {
-        WorkItem item;
-        CompletionFn done;
-    };
-
-    /** Completion event handler: pop + notify the oldest item. */
-    void completeFront(double t);
-
     std::string name_;
     double busyUntil_ = 0.0;
     double busySeconds_ = 0.0;
     std::uint64_t completed_ = 0;
-    RingQueue<InFlight> inflight_;
 };
 
 /**
@@ -204,6 +189,11 @@ class QueuedDevice : public Device
     {
         maxDecodeWait_ = std::max(maxDecodeWait_, seconds);
     }
+
+  protected:
+    /** Hook observed when an arbitrated item's final slice
+     *  completes (via the event queue). */
+    virtual void onComplete(const WorkItem &, double) {}
 
   private:
     struct Pending

@@ -1,7 +1,7 @@
 /**
  * @file
- * Amortized-allocation-free FIFO ring for the sim core's in-flight
- * bookkeeping (device completions, queued decode items). A deque
+ * Amortized-allocation-free FIFO ring for the sim core's queued
+ * decode items (PipelineStage's arbitrated path). A deque
  * allocates and frees block nodes as its window slides; this ring
  * reuses one power-of-two buffer and only reallocates on growth, so
  * the steady-state decode path performs no allocation once warm.

@@ -839,7 +839,8 @@ ServingEngine::runAnalytic()
         active_.resize(keep);
         admitArrived(result_.simulatedSeconds);
     }
-    if (steps >= options_.maxSteps)
+    result_.truncated = steps >= options_.maxSteps;
+    if (result_.truncated)
         warn("engine stopped at the step cap (%llu)",
              static_cast<unsigned long long>(options_.maxSteps));
 
@@ -1531,6 +1532,7 @@ ServingEngine::finalize()
         fatal("ServingEngine::finalize() called twice");
     ev.finalized = true;
 
+    result_.truncated = ev.capped;
     if (ev.capped)
         warn("engine stopped at the cycle cap (%llu)",
              static_cast<unsigned long long>(options_.maxSteps));

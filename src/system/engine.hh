@@ -159,6 +159,13 @@ struct EngineResult
      */
     std::uint64_t simEvents = 0;
 
+    /**
+     * The run stopped at the EngineOptions::maxSteps cap: the
+     * numbers above cover only the work served before it, not the
+     * whole trace.
+     */
+    bool truncated = false;
+
     // --- Request-class / multi-tenant metrics. Populated only when
     // --- the workload carries non-default classes or budgets are
     // --- configured; the subsystem is strictly additive otherwise.

@@ -594,6 +594,7 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         agg.rejectedRequests += r.rejectedRequests;
         agg.preemptions += r.preemptions;
         agg.simEvents += r.simEvents;
+        agg.truncated = agg.truncated || r.truncated;
         agg.sloDeferrals += r.sloDeferrals;
         agg.chunkSlices += r.chunkSlices;
         agg.decodeOvertakes += r.decodeOvertakes;

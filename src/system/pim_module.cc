@@ -95,6 +95,9 @@ PimModuleModel::attentionLayer(const std::vector<AttentionJob> &jobs,
         // last-value cache turns the per-job memo probe + EPU
         // formula into a comparison (accumulation stays per-job so
         // the sums round exactly as before).
+        const Cycle reduce = epu_.reduceCycles(
+            n_ch,
+            static_cast<std::uint64_t>(model.headDim) * model.gqaGroup);
         Tokens last_tokens = 0;
         const AttnJobCost *c = nullptr;
         double epu_cached = 0.0;
@@ -102,12 +105,9 @@ PimModuleModel::attentionLayer(const std::vector<AttentionJob> &jobs,
             if (!c || job.tokens != last_tokens) {
                 Tokens slice = tcpSliceTokens(job, n_ch);
                 c = &attentionJobCost(bucketTokens(slice), model);
-                Cycle epu = epu_.softmaxCycles(job.tokens) *
-                            model.gqaGroup;
-                epu += epu_.reduceCycles(
-                    n_ch, static_cast<std::uint64_t>(model.headDim) *
-                              model.gqaGroup);
-                epu_cached = static_cast<double>(epu);
+                epu_cached = static_cast<double>(
+                    epu_.softmaxCycles(job.tokens) * model.gqaGroup +
+                    reduce);
                 last_tokens = job.tokens;
             }
             kernel_cycles += static_cast<double>(c->qkt->makespan) +

@@ -62,12 +62,25 @@ class XpuStageDevice : public sim::QueuedDevice
     XpuModel &model() { return *model_; }
 
     /**
-     * Prefill seconds actually served to completion on this
-     * timeline. Policies relocate prefill work in time; none may
-     * lose any of its charge (conservation is asserted against the
-     * planner's apportioned totals).
+     * Prefill seconds served on this timeline. Policies relocate
+     * prefill work in time; none may lose any of its charge
+     * (conservation is asserted against the planner's apportioned
+     * totals). A FIFO timeline serves every chunk whole and in
+     * submission order, so it counts the charge at submit; an
+     * arbitrated one counts it when the final slice completes.
      */
     double prefillBusySeconds() const { return prefillBusy_; }
+
+    double
+    submit(sim::EventQueue &queue, const sim::WorkItem &item,
+           double ready, CompletionFn done = nullptr) override
+    {
+        if (!arbitrated() &&
+            item.kind == sim::WorkItem::Kind::PrefillChunk)
+            prefillBusy_ += item.seconds;
+        return sim::QueuedDevice::submit(queue, item, ready,
+                                         std::move(done));
+    }
 
   protected:
     void
@@ -90,6 +103,8 @@ class XpuStageDevice : public sim::QueuedDevice
  * as a pure shadow; when prefill chunks congest the xPU the FC share
  * completes late and the stage is extended to cover the stall, so
  * prefill delays decode exactly as a shared compute engine would.
+ * The shadow is a reservation only: the stage reads its end from
+ * submit() and schedules no event for it.
  * PrefillChunk items route to the xPU timeline (or the PIM timeline
  * when the stage has none).
  *
@@ -100,8 +115,9 @@ class XpuStageDevice : public sim::QueuedDevice
  * and xPU completions in event time: the stage completes at
  * max(attention end, FC end), and any FC stall is charged to the PIM
  * timeline to keep it serializing (as the FIFO path does by
- * extending the item). Without an arbiter the PR 2 synchronous path
- * is used unchanged.
+ * extending the item). The attention and stall reservations are
+ * unobserved and cost no event; the xPU dispatches and the join
+ * remain events. Without an arbiter the synchronous path is used.
  */
 class PipelineStage : public sim::Device
 {

@@ -15,7 +15,9 @@
  *    precision; the three avg* summary means are pinned to 1e-12
  *    relative because finalizeResult now sums samples in production
  *    order instead of ascending order (same samples, same count;
- *    only the last-ulp rounding of the sum differs).
+ *    only the last-ulp rounding of the sum differs). The simEvents
+ *    pins are work counters rather than results: they fail when an
+ *    event nobody observes is reintroduced into the core.
  *
  *  - Run-to-run: the same engine object graph run twice in one
  *    process must be bit-identical in every field, which is what the
@@ -177,6 +179,9 @@ TEST(EngineGolden, EventDrivenPp4FifoChunked)
     EXPECT_EQ(r.sloDeferrals, 0u);
     EXPECT_EQ(r.chunkSlices, 0u);
     EXPECT_EQ(r.decodeOvertakes, 0u);
+    // Work counter: 4807 while unobserved device reservations
+    // (the FIFO FC shadow) were events.
+    EXPECT_EQ(r.simEvents, 3011u);
     expectEnergy(r.attentionEnergy, 0x1.275p+42, 0x1.545p+39,
                  0x1.312c1575ab20dp+41, 0x1.d01p+35, 0x1.a5ep+34,
                  0x1.0ep+39);
@@ -201,6 +206,8 @@ TEST(EngineGolden, EventDrivenPp2SloAdmission)
     // streaming windowed p95 reproduces the copy+sort signal: one
     // different percentile read would shift admissions.
     EXPECT_EQ(r.sloDeferrals, 73u);
+    // 2620 while unobserved device reservations were events.
+    EXPECT_EQ(r.simEvents, 1966u);
     expectEnergy(r.attentionEnergy, 0x1.b58p+41, 0x1.b8p+38,
                  0x1.f0e4922a44a27p+40, 0x1.194p+35, 0.0, 0x1.9p+38);
     expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.14ab99678daeep+41, 0.0, 0.0,
@@ -223,6 +230,7 @@ TEST(EngineGolden, AnalyticPp1)
     EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.93ba17cf90b2ap-7);
     EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.93d3dce16cedp-7);
     expectAvgNear(r.avgTokenGapSeconds, 0x1.93ccfda97677ep-7);
+    EXPECT_EQ(r.simEvents, 0u); // the analytic model runs no events
     expectEnergy(r.attentionEnergy, 0x1.98cap+40, 0x1.930cp+37,
                  0x1.74aa494929defp+39, 0x1.0eb4p+34, 0x1.3c68p+33,
                  0x1.75cp+37);
@@ -243,6 +251,9 @@ TEST(EngineGolden, EventDrivenChunkPreempt)
     // Quantum-slicing counters: preemption accounting is exact.
     EXPECT_EQ(r.chunkSlices, 5808u);
     EXPECT_EQ(r.decodeOvertakes, 168u);
+    // 6794 while the arbitrated path's PIM attention and stall
+    // reservations were events.
+    EXPECT_EQ(r.simEvents, 6448u);
     expectEnergy(r.attentionEnergy, 0x1.ec3p+40, 0x1.efp+37,
                  0x1.659c15b8fe361p+40, 0x1.518p+34, 0x1.a5ep+33,
                  0x1.c2p+37);

@@ -338,13 +338,36 @@ runGoldenAffinityFleet()
     return fleet.run();
 }
 
+TEST(FleetEngine, CappedReplicaMarksTheAggregateTruncated)
+{
+    // A replica stopped at its cycle cap taints the fleet roll-up.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    auto trace = testTrace(8, 16.0, 3);
+    auto full = FleetEngine(cluster, model, trace, fopts).run();
+    EXPECT_FALSE(full.aggregate.truncated);
+
+    fopts.engine.maxSteps = 3;
+    auto capped = FleetEngine(cluster, model, trace, fopts).run();
+    ASSERT_EQ(capped.replicas.size(), 2u);
+    EXPECT_TRUE(capped.replicas[0].truncated);
+    EXPECT_TRUE(capped.replicas[1].truncated);
+    EXPECT_TRUE(capped.aggregate.truncated);
+    EXPECT_LT(capped.aggregate.generatedTokens,
+              full.aggregate.generatedTokens);
+}
+
 TEST(FleetGolden, ZeroLookaheadRoundRobin)
 {
     auto f = runGoldenFleet(RoutePolicy::RoundRobin, 0.0);
     EXPECT_EQ(f.routedRequests, (std::vector<std::uint64_t>{16, 16, 16}));
     EXPECT_EQ(f.routedSessions, (std::vector<std::uint64_t>{0, 0, 0}));
     EXPECT_EQ(f.windows, 49u); // 48 distinct arrival instants + drain
-    EXPECT_EQ(f.aggregate.simEvents, 2864u);
+    EXPECT_EQ(f.aggregate.simEvents, 1768u);
     EXPECT_EQ(f.aggregate.generatedTokens, 768u);
     EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.6729d950969a7p+1);
     EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
@@ -359,7 +382,7 @@ TEST(FleetGolden, WindowedLeastLoaded)
     EXPECT_EQ(f.routedRequests, (std::vector<std::uint64_t>{15, 15, 18}));
     EXPECT_EQ(f.routedSessions, (std::vector<std::uint64_t>{0, 0, 0}));
     EXPECT_EQ(f.windows, 46u);
-    EXPECT_EQ(f.aggregate.simEvents, 2816u);
+    EXPECT_EQ(f.aggregate.simEvents, 1744u);
     EXPECT_EQ(f.aggregate.generatedTokens, 768u);
     EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.5f76761142243p+1);
     EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
@@ -374,7 +397,7 @@ TEST(FleetGolden, WindowedPrefixAffinitySessions)
     EXPECT_EQ(f.routedRequests, (std::vector<std::uint64_t>{4, 4, 4}));
     EXPECT_EQ(f.routedSessions, (std::vector<std::uint64_t>{4, 4, 4}));
     EXPECT_EQ(f.windows, 12u);
-    EXPECT_EQ(f.aggregate.simEvents, 4860u);
+    EXPECT_EQ(f.aggregate.simEvents, 2556u);
     EXPECT_EQ(f.aggregate.generatedTokens, 576u);
     EXPECT_EQ(f.aggregate.prefixHits, 28u);
     EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.4f03ba6d31fa4p+1);

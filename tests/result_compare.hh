@@ -58,6 +58,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds);
     EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds);
     EXPECT_EQ(a.simEvents, b.simEvents);
+    EXPECT_EQ(a.truncated, b.truncated);
 
     ASSERT_EQ(a.classLatencies.size(), b.classLatencies.size());
     for (std::size_t i = 0; i < a.classLatencies.size(); ++i) {

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the event-driven serving core: the sim primitives
- * (event queue, devices, stage pipeline), the anchor contract that
- * the event-driven engine reproduces the analytic engine on PP=1
- * and beats it on a heterogeneous PP>1 deployment, and the
- * open-loop behaviors (late arrivals, preemption re-queue, latency
- * percentile edge cases).
+ * (event queue, devices — a submission without a callback costs no
+ * event — and stage pipeline), the anchor contract that the
+ * event-driven engine reproduces the analytic engine on PP=1 and
+ * beats it on a heterogeneous PP>1 deployment, the cycle cap's
+ * truncation flag, and the open-loop behaviors (late arrivals,
+ * preemption re-queue, latency percentile edge cases).
  */
 
 #include <gtest/gtest.h>
@@ -329,6 +330,111 @@ TEST(Device, CompletionCallbackAtCompletionTime)
     EXPECT_DOUBLE_EQ(completed_at, 5.0);
 }
 
+TEST(Device, UnobservedSubmitSchedulesNoEvent)
+{
+    // Without a callback a submission is pure timeline arithmetic:
+    // the reservation and the counters advance, the queue stays empty.
+    sim::EventQueue q;
+    sim::Device dev("d");
+    sim::WorkItem w;
+    w.seconds = 2.0;
+    EXPECT_DOUBLE_EQ(dev.submit(q, w, 1.0), 3.0);
+    EXPECT_DOUBLE_EQ(dev.submit(q, w, 0.0), 5.0);
+    EXPECT_TRUE(q.empty());
+    EXPECT_DOUBLE_EQ(dev.busyUntil(), 5.0);
+    EXPECT_DOUBLE_EQ(dev.busySeconds(), 4.0);
+    EXPECT_EQ(dev.completedItems(), 2u);
+    q.runAll();
+    EXPECT_EQ(q.dispatched(), 0u);
+}
+
+TEST(Device, TiedObservedCompletionsFireInSubmissionOrder)
+{
+    // Zero-length items all complete at t = 1. Observed completions
+    // fire in submission order, an unobserved one in between leaves
+    // no trace, and an unrelated event scheduled between two
+    // submissions runs between their completions.
+    sim::EventQueue q;
+    sim::Device dev("d");
+    sim::WorkItem zero;
+    std::vector<int> order;
+    auto note = [&order](int tag) {
+        return [&order, tag](double) { order.push_back(tag); };
+    };
+    dev.submit(q, zero, 1.0, note(0));
+    dev.submit(q, zero, 1.0);
+    q.schedule(1.0, note(9));
+    dev.submit(q, zero, 1.0, note(1));
+    dev.submit(q, zero, 1.0, note(2));
+    q.runAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 9, 1, 2}));
+    EXPECT_EQ(q.dispatched(), 4u);
+    EXPECT_EQ(dev.completedItems(), 4u);
+}
+
+TEST(XpuStageDevice, FifoCountsPrefillChargeAtSubmit)
+{
+    // A FIFO timeline serves every chunk whole, in submission order,
+    // so the prefill charge is known (and summed in the same order)
+    // at submit. Decode FC shares are not prefill work.
+    XpuModel model(XpuConfig::neupimsNpu());
+    XpuStageDevice dev("x", model);
+    sim::EventQueue q;
+    sim::WorkItem chunk;
+    chunk.kind = sim::WorkItem::Kind::PrefillChunk;
+    double sum = 0.0;
+    int chunks_done = 0;
+    for (double sec : {0.3, 1.25, 0.7}) {
+        chunk.seconds = sec;
+        dev.submit(q, chunk, 0.0, [&chunks_done](double) { ++chunks_done; });
+        sum += sec;
+    }
+    sim::WorkItem fc;
+    fc.seconds = 0.4;
+    dev.submit(q, fc, 0.0);
+    EXPECT_EQ(dev.prefillBusySeconds(), sum);
+    EXPECT_EQ(chunks_done, 0);
+    q.runAll();
+    EXPECT_EQ(chunks_done, 3);
+    EXPECT_EQ(dev.prefillBusySeconds(), sum);
+    EXPECT_DOUBLE_EQ(dev.busySeconds(), sum + 0.4);
+    EXPECT_EQ(q.dispatched(), 3u); // the FC share is unobserved
+}
+
+/** Slices every item at half a second; FIFO pick. */
+class HalfSecondSlices : public sim::QueueArbiter
+{
+  public:
+    double
+    sliceSeconds(const sim::WorkItem &) const override
+    {
+        return 0.5;
+    }
+};
+
+TEST(XpuStageDevice, ArbitratedCountsPrefillAtFinalSlice)
+{
+    // Under arbitration a chunk's service is relocated in event
+    // time; its charge counts only when its final slice completes.
+    XpuModel model(XpuConfig::neupimsNpu());
+    HalfSecondSlices arbiter;
+    XpuStageDevice dev("x", model, &arbiter);
+    sim::EventQueue q;
+    sim::WorkItem chunk;
+    chunk.kind = sim::WorkItem::Kind::PrefillChunk;
+    chunk.seconds = 1.2;
+    double done = -1.0;
+    dev.submit(q, chunk, 0.0, [&](double t) { done = t; });
+    q.runUntil(1.0); // slices [0, 0.5] and [0.5, 1.0] served
+    EXPECT_EQ(dev.prefillBusySeconds(), 0.0);
+    EXPECT_EQ(dev.completedItems(), 0u);
+    q.runAll();
+    EXPECT_DOUBLE_EQ(done, 1.2);
+    EXPECT_EQ(dev.prefillBusySeconds(), 1.2);
+    EXPECT_EQ(dev.completedItems(), 1u);
+    EXPECT_EQ(dev.preemptionSlices(), 2u);
+}
+
 // --- Stage pipeline overlap. -----------------------------------------
 
 TEST(StagePipeline, CohortsOverlapAcrossStages)
@@ -513,6 +619,31 @@ TEST(StepModels, AgreeOnPp1XpuPim)
 
     ASSERT_GT(a.tokensPerSecond, 0.0);
     EXPECT_NEAR(e.tokensPerSecond / a.tokensPerSecond, 1.0, 0.01);
+}
+
+TEST(StepModels, CycleCapMarksTheRunTruncated)
+{
+    // A run stopped at maxSteps must say so under both step models;
+    // a run that finishes does not.
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    applyOptions(cluster, PimphonyOptions::all());
+    auto reqs = uniformRequests(4, 4000, 16);
+
+    for (StepModel step : {StepModel::Analytic, StepModel::EventDriven}) {
+        SCOPED_TRACE(static_cast<int>(step));
+        EngineOptions opts;
+        opts.allocator = AllocatorKind::LazyChunk;
+        opts.stepModel = step;
+        auto full = ServingEngine(cluster, model, reqs, opts).run();
+        EXPECT_FALSE(full.truncated);
+        EXPECT_EQ(full.completedRequests, 4u);
+
+        opts.maxSteps = 3;
+        auto capped = ServingEngine(cluster, model, reqs, opts).run();
+        EXPECT_TRUE(capped.truncated);
+        EXPECT_LT(capped.generatedTokens, full.generatedTokens);
+    }
 }
 
 TEST(StepModels, EventDrivenBeatsAnalyticOnPp4Heterogeneous)
