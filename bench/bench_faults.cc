@@ -120,7 +120,6 @@ runCell(const FaultConfig &cfg, unsigned threads)
     fopts.threads = std::min(threads, cfg.replicas);
     fopts.retryBackoffSeconds = 0.05;
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
     fopts.faults = buildFaultSchedule(spec, 29);
     cell.faultEvents = fopts.faults.eventCount();
@@ -168,7 +167,6 @@ runAccountingScenario()
     fopts.policy = RoutePolicy::RoundRobin;
     fopts.dispatchLatencySeconds = 0.002;
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
     fopts.faults.replicas.resize(2);
     fopts.faults.replicas[1].push_back(crashAt(0.5));
@@ -241,8 +239,10 @@ main(int argc, char **argv)
     double prev_fraction = 0.0;
     double prev_mtbf = 0.0;
     bool have_prev = false;
+    bench::TruncatedRuns truncated;
     for (const auto &cfg : configs) {
         auto cell = runCell(cfg, args.threads);
+        truncated.note(configName(cfg), cell.fleet.aggregate);
         double fraction =
             cell.decodeTokens > 0
                 ? static_cast<double>(cell.fleet.goodputTokens) /
@@ -333,5 +333,5 @@ main(int argc, char **argv)
     runAccountingScenario();
 
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

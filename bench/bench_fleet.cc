@@ -81,7 +81,6 @@ runFleetOnce(const FleetConfig &cfg, unsigned threads, double &wall)
     fopts.dispatchLatencySeconds = 0.002;
     fopts.threads = std::min(threads, cfg.replicas);
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
 
     auto t0 = std::chrono::steady_clock::now();
@@ -152,9 +151,11 @@ main(int argc, char **argv)
     }
 
     double headline_speedup = 0.0;
+    bench::TruncatedRuns truncated;
     for (const auto &cfg : configs) {
         double serial_wall = 0.0;
         auto serial = runFleetBest(cfg, 1, reps, serial_wall);
+        truncated.note(configName(cfg), serial.aggregate);
 
         // The parallel leg re-runs the identical fleet on the pool;
         // simulated results must not move.
@@ -234,5 +235,5 @@ main(int argc, char **argv)
     }
 
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

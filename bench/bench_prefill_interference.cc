@@ -21,7 +21,7 @@ using namespace pimphony;
 
 namespace {
 
-void
+int
 sweep(std::size_t n_requests, Tokens context, Tokens decode,
       const std::vector<double> &rates, const std::vector<Tokens> &chunks,
       const bench::BenchArgs &args)
@@ -63,15 +63,18 @@ sweep(std::size_t n_requests, Tokens context, Tokens decode,
         auto timed = poissonArrivals(reqs, c.rate, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = c.chunk;
         opts.chargePrefill = c.chunk == 0;
         return ServingEngine(cluster, model, timed, opts).run();
     });
 
+    bench::TruncatedRuns truncated;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const EngineResult &r = outs[i].value;
+        truncated.note("rate " + TablePrinter::fmt(c.rate, 1) +
+                           " chunk " + std::to_string(c.chunk),
+                       r);
         t.addRow({TablePrinter::fmt(c.rate, 1),
                   c.chunk == 0 ? "scalar" : std::to_string(c.chunk),
                   TablePrinter::fmt(r.tokensPerSecond, 1),
@@ -99,6 +102,7 @@ sweep(std::size_t n_requests, Tokens context, Tokens decode,
         else
             std::cerr << "failed to write " << args.jsonPath << "\n";
     }
+    return truncated.exitCode();
 }
 
 } // namespace
@@ -110,9 +114,7 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "chunked prefill vs decode interference sweep");
     if (args.smoke)
-        sweep(8, 30000, 16, {1.5}, {0, 30000, 1024}, args);
-    else
-        sweep(32, 30000, 64, {0.5, 1.0, 1.5},
-              {0, 30000, 8192, 2048, 1024, 256}, args);
-    return 0;
+        return sweep(8, 30000, 16, {1.5}, {0, 30000, 1024}, args);
+    return sweep(32, 30000, 64, {0.5, 1.0, 1.5},
+                 {0, 30000, 8192, 2048, 1024, 256}, args);
 }

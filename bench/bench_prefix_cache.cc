@@ -35,7 +35,6 @@ cacheOptions(bool enabled, PrefixEvictPolicy evict)
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.prefixCache.enabled = enabled;
     opts.prefixCache.evict = evict;
@@ -50,7 +49,8 @@ cacheOptions(bool enabled, PrefixEvictPolicy evict)
  */
 void
 headline(const ClusterConfig &cluster, const LlmConfig &model,
-         bench::JsonRows &json, const bench::BenchArgs &args)
+         bench::JsonRows &json, bench::TruncatedRuns &truncated,
+         const bench::BenchArgs &args)
 {
     constexpr std::size_t kRequests = 12;
     constexpr Tokens kPrefix = 12288;
@@ -71,6 +71,8 @@ headline(const ClusterConfig &cluster, const LlmConfig &model,
     });
     const EngineResult &cold = outs[0].value;
     const EngineResult &warm = outs[1].value;
+    truncated.note("headline cold", cold);
+    truncated.note("headline warm", warm);
 
     auto follower_avg_ttft = [](const EngineResult &r) {
         double sum = 0.0;
@@ -136,7 +138,7 @@ headline(const ClusterConfig &cluster, const LlmConfig &model,
     std::cout << "prefix gate OK\n";
 }
 
-void
+int
 sweep(std::size_t n, const std::vector<double> &shares,
       const std::vector<unsigned> &turns_grid, bool full,
       const bench::BenchArgs &args)
@@ -148,7 +150,8 @@ sweep(std::size_t n, const std::vector<double> &shares,
 
     bench::JsonRows json("bench_prefix_cache");
 
-    headline(cluster, model, json, args);
+    bench::TruncatedRuns truncated;
+    headline(cluster, model, json, truncated, args);
 
     struct Mode
     {
@@ -209,6 +212,10 @@ sweep(std::size_t n, const std::vector<double> &shares,
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const EngineResult &r = outs[i].value;
+        truncated.note("share " + TablePrinter::fmt(c.share, 1) +
+                           " turns " + std::to_string(c.turns) + " " +
+                           c.mode.name,
+                       r);
         double ttft_sum = 0.0;
         for (const auto &kv : r.firstTokenLatency)
             ttft_sum += kv.second;
@@ -251,6 +258,7 @@ sweep(std::size_t n, const std::vector<double> &shares,
     }
     t.print(std::cout);
     bench::writeJsonIfRequested(json, args);
+    return truncated.exitCode();
 }
 
 } // namespace
@@ -263,8 +271,6 @@ main(int argc, char **argv)
         argc, argv,
         "prefix-cache sweep and the warm-vs-cold TTFT gate");
     if (args.smoke)
-        sweep(8, {0.5}, {1, 3}, false, args);
-    else
-        sweep(24, {0.0, 0.5, 0.9}, {1, 3}, true, args);
-    return 0;
+        return sweep(8, {0.5}, {1, 3}, false, args);
+    return sweep(24, {0.0, 0.5, 0.9}, {1, 3}, true, args);
 }

@@ -31,7 +31,7 @@ using namespace pimphony;
 
 namespace {
 
-void
+int
 sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
       const std::vector<double> &rates, const std::vector<Tokens> &contexts,
       const bench::BenchArgs &args)
@@ -75,15 +75,19 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         auto timed = gammaArrivals(reqs, c.rate, 3.0, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = chunk;
         opts.sched.kind = c.kind;
         return ServingEngine(cluster, model, timed, opts).run();
     });
 
+    bench::TruncatedRuns truncated;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const EngineResult &r = outs[i].value;
+        truncated.note("context " + std::to_string(c.ctx) + " rate " +
+                           TablePrinter::fmt(c.rate, 1) + " " +
+                           schedPolicyName(c.kind),
+                       r);
         t.addRow({std::to_string(c.ctx), TablePrinter::fmt(c.rate, 1),
                   schedPolicyName(c.kind),
                   TablePrinter::fmt(r.tokensPerSecond, 1),
@@ -120,6 +124,7 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         else
             std::cerr << "failed to write " << args.jsonPath << "\n";
     }
+    return truncated.exitCode();
 }
 
 } // namespace
@@ -132,8 +137,7 @@ main(int argc, char **argv)
         argc, argv,
         "co-scheduling policy sweep (policy x rate x context)");
     if (args.smoke)
-        sweep(8, 16, 2048, {1.5}, {30000}, args);
-    else
-        sweep(24, 48, 2048, {0.8, 1.2, 1.6}, {8000, 30000, 60000}, args);
-    return 0;
+        return sweep(8, 16, 2048, {1.5}, {30000}, args);
+    return sweep(24, 48, 2048, {0.8, 1.2, 1.6}, {8000, 30000, 60000},
+                 args);
 }

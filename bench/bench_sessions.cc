@@ -27,7 +27,7 @@ using namespace pimphony;
 
 namespace {
 
-void
+int
 sweep(std::size_t n_sessions, unsigned turns, Tokens decode,
       const std::vector<Tokens> &chunks, const bench::BenchArgs &args)
 {
@@ -117,7 +117,6 @@ sweep(std::size_t n_sessions, unsigned turns, Tokens decode,
         const Cell &c = cells[i];
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = c.chunk;
         opts.sched.kind = c.kind;
         ServingEngine engine(cluster, model, built.initial, opts);
@@ -125,9 +124,13 @@ sweep(std::size_t n_sessions, unsigned turns, Tokens decode,
         return engine.run();
     });
 
+    bench::TruncatedRuns truncated;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const EngineResult &r = outs[i].value;
+        truncated.note(schedPolicyName(c.kind) + " chunk " +
+                           std::to_string(c.chunk),
+                       r);
         double t0_sum = 0.0, tn_sum = 0.0;
         std::size_t t0_n = 0, tn_n = 0;
         for (const auto &kv : r.firstTokenLatency) {
@@ -176,6 +179,7 @@ sweep(std::size_t n_sessions, unsigned turns, Tokens decode,
     }
     t.print(std::cout);
     bench::writeJsonIfRequested(json, args);
+    return truncated.exitCode();
 }
 
 } // namespace
@@ -189,8 +193,6 @@ main(int argc, char **argv)
         "multi-turn session sweep (closed-loop turns, diurnal arrivals)",
         bench::kTraceFlags | bench::kRateCurveFlag);
     if (args.smoke)
-        sweep(6, 2, 16, {2048}, args);
-    else
-        sweep(24, 3, 48, {2048, 8192}, args);
-    return 0;
+        return sweep(6, 2, 16, {2048}, args);
+    return sweep(24, 3, 48, {2048, 8192}, args);
 }

@@ -107,7 +107,6 @@ runServingConfig(const ServingConfig &cfg, int reps, double &best_wall)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.sched.kind = cfg.policy;
 
@@ -171,7 +170,6 @@ runFleetConfig(const FleetRowConfig &cfg, int reps, double &best_wall)
     fopts.dispatchLatencySeconds = 0.002;
     fopts.threads = 1;
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
 
     (void)FleetEngine(cluster, model, trace, fopts).run();
@@ -188,8 +186,9 @@ runFleetConfig(const FleetRowConfig &cfg, int reps, double &best_wall)
     return r;
 }
 
-/** @return false when any row stopped at the engine's cycle cap. */
-bool
+/** @return main's exit status: 1 when any row stopped at the cycle
+ *  cap. */
+int
 servingScale(const bench::BenchArgs &args)
 {
     std::vector<ServingConfig> configs;
@@ -227,7 +226,7 @@ servingScale(const bench::BenchArgs &args)
     };
     // A capped run's events/sec and tokens look normal but cover only
     // part of the trace; such a row must fail the bench, not the gate.
-    std::vector<std::string> truncated;
+    bench::TruncatedRuns truncated;
     auto cells =
         bench::runSweep(args, configs.size(), [&](std::size_t i) {
             ConfigRun run;
@@ -240,8 +239,7 @@ servingScale(const bench::BenchArgs &args)
         const auto &cfg = configs[i];
         const EngineResult &r = cells[i].value.result;
         double wall = cells[i].value.bestWall;
-        if (r.truncated)
-            truncated.push_back(configName(cfg));
+        truncated.note(configName(cfg), r);
         double eps = wall > 0.0
                          ? static_cast<double>(r.simEvents) / wall
                          : 0.0;
@@ -297,8 +295,7 @@ servingScale(const bench::BenchArgs &args)
         const auto &cfg = fleet_configs[i];
         const EngineResult &r = fleet_cells[i].value.result;
         double wall = fleet_cells[i].value.bestWall;
-        if (r.truncated)
-            truncated.push_back(fleetConfigName(cfg));
+        truncated.note(fleetConfigName(cfg), r);
         double eps = wall > 0.0
                          ? static_cast<double>(r.simEvents) / wall
                          : 0.0;
@@ -339,10 +336,7 @@ servingScale(const bench::BenchArgs &args)
         else
             std::cerr << "failed to write " << args.jsonPath << "\n";
     }
-    for (const std::string &name : truncated)
-        std::cerr << "error: " << name
-                  << " stopped at the cycle cap (truncated run)\n";
-    return truncated.empty();
+    return truncated.exitCode();
 }
 
 // --- Microbenchmark section (--micro). -------------------------------
@@ -458,5 +452,5 @@ main(int argc, char **argv)
         argc, argv,
         "simulator performance: serving-scale events/sec (default) or "
         "--micro kernel benchmarks");
-    return servingScale(args) ? 0 : 1;
+    return servingScale(args);
 }

@@ -27,7 +27,7 @@ using namespace pimphony;
 
 namespace {
 
-void
+int
 sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
       const std::vector<double> &tier0_fracs,
       const std::vector<double> &rates,
@@ -120,15 +120,20 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         }
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = chunk;
         opts.sched.kind = c.kind;
         return ServingEngine(cluster, model, timed, opts).run();
     });
 
+    bench::TruncatedRuns truncated;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const EngineResult &r = outs[i].value;
+        truncated.note("context " + std::to_string(c.ctx) + " rate " +
+                           TablePrinter::fmt(c.rate, 1) + " tier0 " +
+                           TablePrinter::fmt(c.frac, 2) + " " +
+                           schedPolicyName(c.kind),
+                       r);
         double t0_gap = 0.0, t1_gap = 0.0, t0_ttft = 0.0;
         for (const auto &cl : r.classLatencies) {
             if (cl.tier == 0) {
@@ -187,6 +192,7 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         else
             std::cerr << "failed to write " << args.jsonPath << "\n";
     }
+    return truncated.exitCode();
 }
 
 } // namespace
@@ -200,9 +206,7 @@ main(int argc, char **argv)
         "per-request SLO class sweep (tier mix x rate x context)",
         bench::kRateCurveFlag);
     if (args.smoke)
-        sweep(8, 16, 2048, {0.5}, {1.5}, {30000}, args);
-    else
-        sweep(24, 48, 2048, {0.25, 0.5, 0.75}, {0.8, 1.2, 1.6},
-              {8000, 30000, 60000}, args);
-    return 0;
+        return sweep(8, 16, 2048, {0.5}, {1.5}, {30000}, args);
+    return sweep(24, 48, 2048, {0.25, 0.5, 0.75}, {0.8, 1.2, 1.6},
+                 {8000, 30000, 60000}, args);
 }

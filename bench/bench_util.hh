@@ -500,6 +500,36 @@ writeJsonIfRequested(const JsonRows &json, const BenchArgs &args)
         std::cerr << "failed to write " << args.jsonPath << "\n";
 }
 
+/**
+ * Loud failure for capped runs. A run that stopped at the
+ * EngineOptions::maxSteps cap (EngineResult::truncated) reports
+ * numbers that cover only part of its trace, so a bench note()s every
+ * result it prints and returns exitCode() from main: each truncated
+ * config is named on stderr and the bench exits 1.
+ */
+class TruncatedRuns
+{
+  public:
+    void
+    note(const std::string &config, const EngineResult &r)
+    {
+        if (r.truncated)
+            names_.push_back(config);
+    }
+
+    int
+    exitCode() const
+    {
+        for (const std::string &name : names_)
+            std::cerr << "error: " << name
+                      << " stopped at the cycle cap (truncated run)\n";
+        return names_.empty() ? 0 : 1;
+    }
+
+  private:
+    std::vector<std::string> names_;
+};
+
 /** The four cumulative technique stacks every throughput figure uses. */
 inline std::vector<PimphonyOptions>
 cumulativeOptions()

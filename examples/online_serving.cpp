@@ -60,7 +60,6 @@ policySelection()
     for (SchedPolicyKind kind : allSchedPolicies()) {
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = 2048;
         opts.sched.kind = kind;
         opts.sched.sloTargetGapSeconds = target_gap;
@@ -117,7 +116,6 @@ requestClasses()
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.sched.kind = SchedPolicyKind::TierPriority;
     opts.tenantBudgets = {{0, 0.5}, {1, 0.5}};
@@ -177,7 +175,6 @@ multiTurnSessions()
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     ServingEngine engine(cluster, model, built.initial, opts);
     engine.declareSessionTurns(built.sessions);
@@ -240,9 +237,7 @@ main()
             EngineOptions opts;
             opts.allocator = options.dpa ? AllocatorKind::LazyChunk
                                          : AllocatorKind::Static;
-            // Open-loop runs use the event-driven core: admission is
-            // driven by arrival events instead of lockstep steps.
-            opts.stepModel = StepModel::EventDriven;
+            // Open loop: admission is driven by arrival events.
             ServingEngine engine(cluster, model, timed, opts);
             auto r = engine.run();
             std::printf("%9.1f/s  %-14s %10.1f %12.2f %12.2f\n", rate,

@@ -53,8 +53,7 @@ MicroBatching planMicroBatches(std::uint32_t batch, unsigned pp);
  * @p n_layers: every stage gets floor(n_layers / pp) (at least 1)
  * and the last stage additionally absorbs the remainder, so layer
  * counts sum to n_layers whenever pp <= n_layers. The serving
- * engine's step models charge the last stage's longer service
- * accordingly.
+ * engine charges the last stage's longer service accordingly.
  */
 unsigned stageLayers(unsigned n_layers, unsigned pp, unsigned stage);
 

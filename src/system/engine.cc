@@ -15,97 +15,6 @@
 
 namespace pimphony {
 
-/** One in-flight decode cohort (micro-batch) of the event core. */
-struct ServingEngine::EventCohort
-{
-    std::uint32_t id = 0;
-    std::uint64_t cycle = 0;
-    std::vector<Active> members;
-};
-
-/**
- * State of one prepared event-driven run, held on the heap so the run
- * survives between advanceTo calls; the ev* member functions are its
- * event handlers.
- */
-struct ServingEngine::EventRun
-{
-    sim::EventQueue queue;
-    std::unique_ptr<SchedPolicy> policy;
-    std::unique_ptr<StageDeviceSet> stages;
-
-    unsigned pp = 1;
-    unsigned tp = 1;
-    double spc = 0.0;
-    bool chunked = false;
-
-    ChannelAccum acc;
-    double batchTime = 0.0;
-    double capacityTime = 0.0;
-    double lastAccount = 0.0;
-    double endTime = 0.0;
-
-    std::list<EventCohort> cohorts; // list keeps addresses stable
-    std::deque<TimedRequest> arrived;
-    std::vector<Active> readyPool; // admitted, waiting for a cohort
-    std::vector<sim::WorkItem> cycleItems;
-    std::vector<std::vector<sim::WorkItem>> seqScratch;
-    std::uint64_t prefilling = 0; // admitted, chunks in flight
-
-    /** Context + decode tokens of the prefilling requests (the
-     *  queuedTokens share submitSequence holders hide). */
-    double prefillingTokens = 0.0;
-
-    /**
-     * Requests whose prefill chunks are on the timelines, reachable
-     * for evacuation (the submitSequence completion lambdas share
-     * ownership). Erased as completions land.
-     */
-    std::vector<std::shared_ptr<Active>> prefillHolders;
-
-    /**
-     * Brown-out stretch applied to device charges at submission
-     * (decode cycles, prefill chunks, the scalar prefill clock).
-     * Exactly 1.0 is bit-transparent: multiplying a double by 1.0
-     * is exact, so the fault-free engine is reproduced bit for bit.
-     */
-    double serviceRateScale = 1.0;
-
-    /**
-     * A killing evacuate() halted the engine: no admissions, no new
-     * cohorts, stale prefill completions dropped. Cleared by
-     * restoreService().
-     */
-    bool halted = false;
-
-    /**
-     * Evacuation generation. In-flight prefill completions capture
-     * the epoch at submission and discard themselves when a killing
-     * evacuate() has bumped it since — their request was already
-     * rewound and failed over.
-     */
-    std::uint64_t epoch = 0;
-
-    std::uint32_t nextCohortId = 0;
-    std::uint64_t cycles = 0;
-    bool capped = false;
-
-    /** Scalar-prefill serialization clock (chargePrefill). */
-    double prefillReady = 0.0;
-
-    /** Not-yet-arrived requests, nondecreasing arrival order. */
-    std::deque<TimedRequest> future;
-
-    /** An arrival event is scheduled (at arrivalArmedAt). */
-    bool arrivalArmed = false;
-    double arrivalArmedAt = 0.0;
-
-    /** Hoisted per-admission-scan tier in-flight flags. */
-    std::set<unsigned> scanTiersInFlight;
-
-    bool finalized = false;
-};
-
 ServingEngine::~ServingEngine() = default;
 
 ServingEngine::ServingEngine(const ClusterConfig &cluster,
@@ -135,19 +44,25 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     prefixActive_ = options_.prefixCache.enabled;
     if (prefixActive_) {
         // The tree shares the allocator's chunks; only the paged
-        // allocator has chunks to share, and only the event-driven
-        // model has the Prefilling state warm admissions skip.
+        // allocator has chunks to share.
         if (options_.allocator != AllocatorKind::LazyChunk)
             fatal("prefix caching requires the LazyChunk allocator");
-        if (options_.stepModel != StepModel::EventDriven)
-            fatal("prefix caching requires the event-driven step "
-                  "model");
         prefixCache_ = std::make_unique<PrefixCache>(
             static_cast<LazyChunkAllocator &>(*allocator_),
             options_.prefixCache);
     }
     module_ = std::make_unique<PimModuleModel>(cluster_.module);
     xpu_ = std::make_unique<XpuModel>(cluster_.xpu);
+    // Co-scheduling policy: arbitration of the xPU timelines (FIFO
+    // policies keep the plain reservation arithmetic) plus the SLO
+    // admission gate consulted by admitArrived. Every stage carries
+    // an xPU timeline: in XpuPim mode it serves decode FC shares and
+    // prefill chunks; in PimOnly mode only the prefill chunks (the
+    // PNM compute engines) land there.
+    policy_ = makeSchedPolicy(options_.sched);
+    stages_ = std::make_unique<StageDeviceSet>(
+        cluster_.plan.pp, *module_, xpu_.get(),
+        policy_->reordersXpu() ? policy_.get() : nullptr);
     sortByArrival(requests);
     // Pre-size the sample accumulators from the workload: one
     // latency and TTFT sample per request, and at most one gap per
@@ -161,8 +76,11 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     tokenGaps_.reserve(total_decode);
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
-    for (auto &r : requests)
-        pending_.push_back(r);
+    readyPool_.reserve(requests.size());
+    // Open-loop arrivals become events at prepare(); time-zero
+    // requests are available immediately.
+    for (const auto &timed : requests)
+        (timed.arrivalSeconds <= 0.0 ? arrived_ : future_).push_back(timed);
 
     // Tenant budgets, then the class/tenant registration a fleet
     // replica performs for its routed requests. Both stay fully
@@ -250,18 +168,12 @@ ServingEngine::integrateTenantShares(double dt)
 }
 
 std::set<unsigned>
-ServingEngine::entitledTenantsWaiting(
-    const std::deque<TimedRequest> &queue, double now) const
+ServingEngine::entitledTenantsWaiting() const
 {
     std::set<unsigned> out;
     if (!budgetsActive_)
         return out;
-    for (const auto &timed : queue) {
-        // Mostly arrival-sorted, but preempted requests requeue at
-        // the back with their original (past) arrival — keep
-        // scanning past future traffic rather than stopping at it.
-        if (timed.arrivalSeconds > now)
-            continue;
+    for (const auto &timed : arrived_) {
         const RequestClass &cls = timed.request.cls;
         if (out.count(cls.tenant))
             continue;
@@ -481,8 +393,7 @@ ServingEngine::prefixSampleOccupancy()
 }
 
 bool
-ServingEngine::advanceMember(Active &a, double completion_clock,
-                             std::deque<TimedRequest> &requeue)
+ServingEngine::advanceMember(Active &a, double completion_clock)
 {
     // The allocator holds this request's KV minus whatever the prefix
     // cache holds on its behalf (cachedTokens == 0 when caching is
@@ -495,7 +406,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         tenantRelease(a);
         releaseCacheRef(a);
         ++result_.preemptions;
-        requeue.push_back({a.request, a.arrival});
+        arrived_.push_back({a.request, a.arrival});
         return false;
     }
     ++a.generated;
@@ -569,37 +480,26 @@ ServingEngine::admitArrived(double now)
     // Skipping a gated tier or an over-budget tenant, rather than
     // halting on it, keeps FIFO order inside each (class, tenant)
     // population without head-of-line blocking the others.
-    EventRun *ev = ev_.get();
-    if (ev && ev->halted)
+    if (halted_)
         return; // crashed replica: admissions wait for the sweep
-    std::deque<TimedRequest> &queue = ev ? ev->arrived : pending_;
-    // The SLO gate guards new prefills on the chunked event path; it
-    // is re-checked at every cycle completion.
-    const bool gated = ev && ev->chunked;
-    if (gated && classesActive_ && ev->policy->needsGapSignal())
-        evRefreshTiersInFlight();
+    // The SLO gate guards new prefills on the chunked path; it is
+    // re-checked at every cycle completion.
+    const bool gated = options_.prefillChunkTokens > 0;
+    if (gated && classesActive_ && policy_->needsGapSignal())
+        refreshTiersInFlight();
     // Without per-tier windows the gate reads one global signal that
     // the scan does not move, so one answer serves every prefill.
     const bool uniform_gate =
-        gated && (tiers_.empty() || !ev->policy->needsGapSignal());
-    const bool uniform_defers = uniform_gate && !queue.empty() &&
-                                evClassGateDefers(RequestClass{});
-    std::set<unsigned> entitled = entitledTenantsWaiting(queue, now);
+        gated && (tiers_.empty() || !policy_->needsGapSignal());
+    const bool uniform_defers = uniform_gate && !arrived_.empty() &&
+                                classGateDefers(RequestClass{});
+    std::set<unsigned> entitled = entitledTenantsWaiting();
     bool gate_deferred = false;
-    for (std::size_t i = 0; i < queue.size();) {
-        const TimedRequest &timed = queue[i];
-        if (timed.arrivalSeconds > now) {
-            // Not yet arrived (analytic open loop). Under budgets a
-            // preempted request requeued behind it counts as
-            // entitled (entitledTenantsWaiting), so look past it.
-            if (!budgetsActive_)
-                break;
-            ++i;
-            continue;
-        }
+    for (std::size_t i = 0; i < arrived_.size();) {
+        const TimedRequest &timed = arrived_[i];
         if (gated && timed.request.contextTokens > 0 &&
             (uniform_gate ? uniform_defers
-                          : evClassGateDefers(timed.request.cls))) {
+                          : classGateDefers(timed.request.cls))) {
             // At most one deferral per admission check.
             if (!gate_deferred) {
                 ++result_.sloDeferrals;
@@ -616,22 +516,15 @@ ServingEngine::admitArrived(double now)
             ++i;
             continue;
         }
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+        arrived_.erase(arrived_.begin() + static_cast<std::ptrdiff_t>(i));
         if (adm.outcome != AdmitOutcome::Admitted)
             continue; // Rejected: already counted
-        if (!ev) {
-            // Analytic: the scalar prefill serializes on the clock,
-            // and later arrivals are judged against the advanced time.
-            result_.simulatedSeconds += adm.prefillSeconds;
-            integrateTenantShares(adm.prefillSeconds);
-            now = result_.simulatedSeconds;
-            active_.push_back(std::move(adm.active));
-        } else if (ev->chunked) {
-            evStartPrefill(std::move(adm.active), now);
+        if (gated) {
+            startPrefill(std::move(adm.active), now);
         } else {
-            ev->prefillReady = std::max(ev->prefillReady, now) +
-                               adm.prefillSeconds * ev->serviceRateScale;
-            ev->readyPool.push_back(std::move(adm.active));
+            prefillReady_ = std::max(prefillReady_, now) +
+                            adm.prefillSeconds * serviceRateScale_;
+            readyPool_.push_back(std::move(adm.active));
         }
     }
 }
@@ -643,9 +536,6 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
     const unsigned pp = cluster_.plan.pp;
     const std::uint32_t batch =
         static_cast<std::uint32_t>(end - begin);
-    // Uneven layer split: the last stage absorbs the remainder and
-    // is the slowest (stageLayers), so it sets the analytic beat.
-    const unsigned last_layers = stageLayers(model_.nLayers, pp, pp - 1);
     const unsigned kvh = model_.kvHeads();
     const unsigned jobs_per_req = std::max(1u, ceilDiv(kvh, tp));
     // When the TP group outnumbers the KV heads, the modules sharing
@@ -695,7 +585,6 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
     plan.layerSeconds = layer_sec;
     plan.fcLayerSeconds =
         cluster_.kind == SystemKind::XpuPim ? fc_sec : 0.0;
-    plan.maxStageSeconds = last_layers * layer_sec;
 
     // Per full cycle the cohort crosses all pp stages.
     double layers_total = stageLayersTotal(model_.nLayers, pp);
@@ -711,11 +600,10 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
 }
 
 void
-ServingEngine::accountCycle(const CyclePlan &plan, double span_cycles,
-                            ChannelAccum &acc)
+ServingEngine::accountCycle(const CyclePlan &plan, double span_cycles)
 {
-    acc.busyCycles += plan.busyChannelCycles;
-    acc.spanCycles += span_cycles;
+    macBusyCycles_ += plan.busyChannelCycles;
+    macSpanCycles_ += span_cycles;
 
     double spc = cluster_.module.timing.secondsPerCycle();
     double busy_span_cycles =
@@ -742,171 +630,71 @@ ServingEngine::accountCycle(const CyclePlan &plan, double span_cycles,
     result_.fcEnergy += fc_energy;
 }
 
-double
-ServingEngine::stepSeconds(ChannelAccum &acc)
-{
-    const std::uint32_t batch =
-        static_cast<std::uint32_t>(active_.size());
-    MicroBatching mb = planMicroBatches(batch, cluster_.plan.pp);
-    const std::uint32_t mbs = mb.microBatchSize;
-
-    // The lockstep step is one plan: its micro-batches' work summed,
-    // paced by the slowest stage of any of them.
-    CyclePlan step;
-    for (std::uint32_t m = 0; m < mb.count; ++m) {
-        std::uint32_t lo = m * mbs;
-        std::uint32_t hi = std::min<std::uint32_t>(lo + mbs, batch);
-        if (lo >= hi)
-            continue;
-        CyclePlan plan = planCohortCycle(active_.data() + lo,
-                                         active_.data() + hi);
-        step.maxStageSeconds =
-            std::max(step.maxStageSeconds, plan.maxStageSeconds);
-        step.attSeconds += plan.attSeconds;
-        step.fcSeconds += plan.fcSeconds;
-        step.busyChannelCycles += plan.busyChannelCycles;
-        step.attEnergy += plan.attEnergy;
-        step.fcEnergy += plan.fcEnergy;
-    }
-    double step_sec = mb.stageBeats * step.maxStageSeconds;
-    // The step occupies every module's channels, not one tp group's.
-    double span = step_sec / cluster_.module.timing.secondsPerCycle() *
-                  cluster_.module.nChannels * cluster_.nModules;
-    accountCycle(step, span, acc);
-    return step_sec;
-}
-
 EngineResult
 ServingEngine::run()
 {
-    if (options_.stepModel == StepModel::Analytic)
-        return runAnalytic();
     prepare();
-    ev_->queue.runAll();
+    queue_.runAll();
     return finalize();
 }
 
-EngineResult
-ServingEngine::runAnalytic()
-{
-    ChannelAccum acc;
-    double batch_time = 0.0;   // integral of batch over time
-    double capacity_time = 0.0;
-
-    admitArrived(result_.simulatedSeconds);
-    std::uint64_t steps = 0;
-    while ((!active_.empty() || !pending_.empty()) &&
-           steps < options_.maxSteps) {
-        ++steps;
-        if (active_.empty()) {
-            if (pending_.front().arrivalSeconds >
-                result_.simulatedSeconds) {
-                // Open loop: idle until the next arrival.
-                integrateTenantShares(pending_.front().arrivalSeconds -
-                                      result_.simulatedSeconds);
-                result_.simulatedSeconds =
-                    pending_.front().arrivalSeconds;
-                admitArrived(result_.simulatedSeconds);
-                continue;
-            }
-            // Nothing admitted although requests pend: the headroom
-            // check refuses them only when memory is held, which it
-            // cannot be with an empty active set -> reject front.
-            ++result_.rejectedRequests;
-            pending_.pop_front();
-            admitArrived(result_.simulatedSeconds);
-            continue;
-        }
-
-        double sec = stepSeconds(acc);
-        result_.simulatedSeconds += sec;
-        batch_time += sec * static_cast<double>(active_.size());
-        capacity_time += sec * allocator_->capacityUtilization();
-        integrateTenantShares(sec);
-
-        // Advance every active request by one token, compacting the
-        // survivors in place (same order as the former copy into a
-        // fresh vector, without the per-step allocation).
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-            if (advanceMember(active_[i], result_.simulatedSeconds,
-                              pending_)) {
-                if (keep != i)
-                    active_[keep] = std::move(active_[i]);
-                ++keep;
-            }
-        }
-        active_.resize(keep);
-        admitArrived(result_.simulatedSeconds);
-    }
-    result_.truncated = steps >= options_.maxSteps;
-    if (result_.truncated)
-        warn("engine stopped at the step cap (%llu)",
-             static_cast<unsigned long long>(options_.maxSteps));
-
-    finalizeResult(acc, batch_time, capacity_time);
-    return result_;
-}
-
 void
-ServingEngine::evAccountTo(double t)
+ServingEngine::accountTo(double t)
 {
-    EventRun &ev = *ev_;
-    if (t <= ev.lastAccount)
+    if (t <= lastAccount_)
         return;
-    double dt = t - ev.lastAccount;
+    double dt = t - lastAccount_;
     // Effective batch counts decoding requests only; pooled requests
     // hold memory but are not batched on any device.
-    ev.batchTime += dt * static_cast<double>(evInFlightCount());
-    ev.capacityTime += dt * allocator_->capacityUtilization();
+    batchTime_ += dt * static_cast<double>(inFlightCount());
+    capacityTime_ += dt * allocator_->capacityUtilization();
     integrateTenantShares(dt);
-    ev.lastAccount = t;
-    ev.endTime = std::max(ev.endTime, t);
+    lastAccount_ = t;
+    endTime_ = std::max(endTime_, t);
 }
 
 std::size_t
-ServingEngine::evInFlightCount() const
+ServingEngine::inFlightCount() const
 {
     std::size_t n = 0;
-    for (const auto &c : ev_->cohorts)
+    for (const auto &c : cohorts_)
         n += c.members.size();
     return n;
 }
 
 void
-ServingEngine::evTakeFairShare(std::vector<Active> &into)
+ServingEngine::takeFairShare(std::vector<Active> &into)
 {
-    EventRun &ev = *ev_;
     // Tier-segregated refills: order the pool by tier (stable, so
     // survivors keep precedence inside a tier) and the take forms
     // the most tier-pure cohort the pool allows — higher tiers
     // decode in cohorts the tier-aware arbiters can favor.
     if (classesActive_)
-        std::stable_sort(ev.readyPool.begin(), ev.readyPool.end(),
+        std::stable_sort(readyPool_.begin(), readyPool_.end(),
                          [](const Active &a, const Active &b) {
                              return a.request.cls.tier <
                                     b.request.cls.tier;
                          });
-    std::size_t total = evInFlightCount() + ev.readyPool.size();
-    std::size_t target =
-        std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp));
-    std::size_t take = std::min<std::size_t>(target, ev.readyPool.size());
-    into.assign(std::make_move_iterator(ev.readyPool.begin()),
-                std::make_move_iterator(ev.readyPool.begin() + take));
-    ev.readyPool.erase(ev.readyPool.begin(), ev.readyPool.begin() + take);
+    std::size_t total = inFlightCount() + readyPool_.size();
+    std::size_t target = std::max<std::size_t>(
+        1, ceilDiv<std::size_t>(total, cluster_.plan.pp));
+    std::size_t take = std::min<std::size_t>(target, readyPool_.size());
+    into.assign(std::make_move_iterator(readyPool_.begin()),
+                std::make_move_iterator(readyPool_.begin() + take));
+    readyPool_.erase(readyPool_.begin(), readyPool_.begin() + take);
 }
 
 void
-ServingEngine::evRefreshTiersInFlight()
+ServingEngine::refreshTiersInFlight()
 {
-    ev_->scanTiersInFlight.clear();
-    for (const auto &c : ev_->cohorts)
+    scanTiersInFlight_.clear();
+    for (const auto &c : cohorts_)
         for (const auto &m : c.members)
-            ev_->scanTiersInFlight.insert(m.request.cls.tier);
+            scanTiersInFlight_.insert(m.request.cls.tier);
 }
 
 bool
-ServingEngine::evClassGateDefers(const RequestClass &cls)
+ServingEngine::classGateDefers(const RequestClass &cls)
 {
     // A prefill of tier T defers while any tier T' <= T (equal or
     // higher priority) exceeds its own target on its own window, so
@@ -915,34 +703,33 @@ ServingEngine::evClassGateDefers(const RequestClass &cls)
     // struggling lower tier. A tier's gate may only bind while its
     // own gaps can still be produced (decode in flight), or a stale
     // window would deadlock that tier's admissions.
-    EventRun &ev = *ev_;
-    if (!ev.policy->needsGapSignal())
-        return !ev.policy->admitPrefill(0.0, 0, evInFlightCount() > 0);
+    if (!policy_->needsGapSignal())
+        return !policy_->admitPrefill(0.0, 0, inFlightCount() > 0);
     // Budgets configured but every request default-class: there
     // are no per-tier windows, so the gate reads the global one
     // exactly as the single-class path does — the nearest-rank p95
     // over the most recent window of decode token gaps, streamed in
     // O(log W) per gap by the windowed quantile.
     if (tiers_.empty())
-        return !ev.policy->admitPrefill(
+        return !policy_->admitPrefill(
             gapWindow_ ? gapWindow_->value() : 0.0,
-            gapWindow_ ? gapWindow_->size() : 0, evInFlightCount() > 0);
+            gapWindow_ ? gapWindow_->size() : 0, inFlightCount() > 0);
     for (auto &kv : tiers_) {
         if (kv.first > cls.tier)
             break; // ascending map: only tiers <= T guard T
         const TierState &ts = kv.second;
         if (!ts.window)
             continue;
-        if (!ev.policy->admitPrefillAt(
+        if (!policy_->admitPrefillAt(
                 ts.window->value(), ts.window->size(),
-                ev.scanTiersInFlight.count(kv.first) > 0, ts.target))
+                scanTiersInFlight_.count(kv.first) > 0, ts.target))
             return true;
     }
     return false;
 }
 
 void
-ServingEngine::evStartPrefill(Active a, double now)
+ServingEngine::startPrefill(Active a, double now)
 {
     // Chunked prefill: the admitted request enters a Prefilling
     // state (memory held, not decoding) while its chunks traverse
@@ -950,7 +737,6 @@ ServingEngine::evStartPrefill(Active a, double now)
     // the last chunk's last-stage completion. Per-chunk seconds
     // apportion the scalar charge tryAdmitOne already accounted, so
     // chunked and scalar prefill cost the same total device time.
-    EventRun &ev = *ev_;
     // A warm prefix skips its cached share: the chunk plan covers
     // only [warmTokens, context), apportioning the reduced scalar
     // charge (warmTokens == 0 is the cold plan).
@@ -964,73 +750,73 @@ ServingEngine::evStartPrefill(Active a, double now)
         // immediately.
         if (prefixActive_ && a.cachePublisher && a.cacheKey != 0)
             prefixCache_->markReady(a.cacheKey, now);
-        ev.readyPool.push_back(std::move(a));
+        readyPool_.push_back(std::move(a));
         return;
     }
     // prefillSeconds() spreads the work over prefillEngines();
     // a stage owns tp of them for stageLayers/nLayers of the
     // model, so scale per-stage occupancy to keep each request's
     // per-stage total at scalar * engines / (tp * pp-equivalent).
+    const unsigned pp = cluster_.plan.pp;
     double engine_scale =
-        static_cast<double>(cluster_.prefillEngines()) / ev.tp;
-    double layers_total = stageLayersTotal(model_.nLayers, ev.pp);
-    ev.seqScratch.resize(chunk_secs.size());
+        static_cast<double>(cluster_.prefillEngines()) / cluster_.plan.tp;
+    double layers_total = stageLayersTotal(model_.nLayers, pp);
+    seqScratch_.resize(chunk_secs.size());
     for (std::size_t k = 0; k < chunk_secs.size(); ++k) {
-        std::vector<sim::WorkItem> &row = ev.seqScratch[k];
-        row.assign(ev.pp, sim::WorkItem{});
-        for (unsigned s = 0; s < ev.pp; ++s) {
+        std::vector<sim::WorkItem> &row = seqScratch_[k];
+        row.assign(pp, sim::WorkItem{});
+        for (unsigned s = 0; s < pp; ++s) {
             row[s].kind = sim::WorkItem::Kind::PrefillChunk;
             row[s].request = a.request.id;
             row[s].chunk = static_cast<std::uint32_t>(k);
             row[s].tier = a.request.cls.tier;
             row[s].seconds = chunk_secs[k] * engine_scale *
-                             stageLayers(model_.nLayers, ev.pp, s) /
-                             layers_total * ev.serviceRateScale;
+                             stageLayers(model_.nLayers, pp, s) /
+                             layers_total * serviceRateScale_;
         }
     }
-    ++ev.prefilling;
+    ++prefilling_;
     double holder_tokens = static_cast<double>(
         a.request.contextTokens + a.request.decodeTokens);
-    ev.prefillingTokens += holder_tokens;
+    prefillingTokens_ += holder_tokens;
     auto holder = std::make_shared<Active>(std::move(a));
-    ev.prefillHolders.push_back(holder);
-    std::uint64_t epoch = ev.epoch;
-    ev.stages->pipeline().submitSequence(
-        ev.queue, ev.seqScratch, now,
+    prefillHolders_.push_back(holder);
+    std::uint64_t epoch = epoch_;
+    stages_->pipeline().submitSequence(
+        queue_, seqScratch_, now,
         [this, holder, holder_tokens, epoch](double t) {
-            EventRun &run = *ev_;
-            if (epoch != run.epoch)
+            if (epoch != epoch_)
                 return; // evacuated mid-prefill; already failed over
-            run.prefillHolders.erase(
-                std::find(run.prefillHolders.begin(),
-                          run.prefillHolders.end(), holder));
-            --run.prefilling;
-            run.prefillingTokens -= holder_tokens;
-            evAccountTo(t);
+            prefillHolders_.erase(
+                std::find(prefillHolders_.begin(),
+                          prefillHolders_.end(), holder));
+            --prefilling_;
+            prefillingTokens_ -= holder_tokens;
+            accountTo(t);
             // Publisher's prefix KV is now materialized: open the
             // tree entry for the requests queued behind it.
             if (prefixActive_ && holder->cachePublisher &&
                 holder->cacheKey != 0)
                 prefixCache_->markReady(holder->cacheKey, t);
-            run.readyPool.push_back(std::move(*holder));
-            evFormNewCohorts(t);
+            readyPool_.push_back(std::move(*holder));
+            formNewCohorts(t);
         });
 }
 
 void
-ServingEngine::evStartCycle(EventCohort &c, double ready)
+ServingEngine::startCycle(Cohort &c, double ready)
 {
-    EventRun &ev = *ev_;
     CyclePlan plan = planCohortCycle(
         c.members.data(), c.members.data() + c.members.size());
     // Brown-out: stretch the cycle's device time (and its channel
     // span, so MAC utilization sees the slowdown) without changing
     // the intrinsic work. scale == 1.0 multiplies exactly.
-    double layer_sec = plan.layerSeconds * ev.serviceRateScale;
-    double fc_layer_sec = plan.fcLayerSeconds * ev.serviceRateScale;
-    double span_cycles = layer_sec * plan.layersTotal / ev.spc *
-                         cluster_.module.nChannels * ev.tp;
-    accountCycle(plan, span_cycles, ev.acc);
+    double layer_sec = plan.layerSeconds * serviceRateScale_;
+    double fc_layer_sec = plan.fcLayerSeconds * serviceRateScale_;
+    double span_cycles = layer_sec * plan.layersTotal /
+                         cluster_.module.timing.secondsPerCycle() *
+                         cluster_.module.nChannels * cluster_.plan.tp;
+    accountCycle(plan, span_cycles);
 
     // A cohort's decode items carry the best (lowest) tier of
     // its members, so a mixed cohort is arbitrated at the
@@ -1042,34 +828,34 @@ ServingEngine::evStartCycle(EventCohort &c, double ready)
             cohort_tier = std::min(cohort_tier, m.request.cls.tier);
     }
 
-    ev.cycleItems.assign(ev.pp, sim::WorkItem{});
-    for (unsigned s = 0; s < ev.pp; ++s) {
-        unsigned layers = stageLayers(model_.nLayers, ev.pp, s);
-        ev.cycleItems[s].cohort = c.id;
-        ev.cycleItems[s].cycle = c.cycle;
-        ev.cycleItems[s].tier = cohort_tier;
-        ev.cycleItems[s].seconds = layer_sec * layers;
-        ev.cycleItems[s].fcSeconds = fc_layer_sec * layers;
+    const unsigned pp = cluster_.plan.pp;
+    cycleItems_.assign(pp, sim::WorkItem{});
+    for (unsigned s = 0; s < pp; ++s) {
+        unsigned layers = stageLayers(model_.nLayers, pp, s);
+        cycleItems_[s].cohort = c.id;
+        cycleItems_[s].cycle = c.cycle;
+        cycleItems_[s].tier = cohort_tier;
+        cycleItems_[s].seconds = layer_sec * layers;
+        cycleItems_[s].fcSeconds = fc_layer_sec * layers;
     }
     ++c.cycle;
-    EventCohort *cohort = &c;
-    ev.stages->pipeline().submitChain(
-        ev.queue, ev.cycleItems, ready, [this, cohort](double t) {
-            evOnCycleComplete(*cohort, t);
+    Cohort *cohort = &c;
+    stages_->pipeline().submitChain(
+        queue_, cycleItems_, ready, [this, cohort](double t) {
+            onCycleComplete(*cohort, t);
         });
 }
 
 void
-ServingEngine::evOnCycleComplete(EventCohort &c, double t)
+ServingEngine::onCycleComplete(Cohort &c, double t)
 {
-    EventRun &ev = *ev_;
-    evAccountTo(t);
+    accountTo(t);
 
     // Advance every cohort member by one token, compacting the
     // survivors in place (order preserved, no allocation).
     std::size_t keep = 0;
     for (std::size_t i = 0; i < c.members.size(); ++i) {
-        if (advanceMember(c.members[i], t, ev.arrived)) {
+        if (advanceMember(c.members[i], t)) {
             if (keep != i)
                 c.members[keep] = std::move(c.members[i]);
             ++keep;
@@ -1077,121 +863,105 @@ ServingEngine::evOnCycleComplete(EventCohort &c, double t)
     }
     c.members.resize(keep);
 
-    ++ev.cycles;
-    if (ev.cycles >= options_.maxSteps)
-        ev.capped = true;
+    ++cycles_;
+    if (cycles_ >= options_.maxSteps)
+        capped_ = true;
 
     // Continuous batching with balanced cohorts: survivors and
     // admissible pending requests meet in the ready pool
     // (survivors first, so mid-decode requests keep priority),
     // and the cohort refills up to a fair share of the active
-    // set. The cap keeps cohorts balanced the way the analytic
-    // model's per-step re-split does, while leaving the other
-    // cohorts' in-flight cycles untouched.
-    if (!ev.capped) {
+    // set. The cap keeps cohorts balanced the way a lockstep
+    // per-step re-split would, while leaving the other cohorts'
+    // in-flight cycles untouched.
+    if (!capped_) {
         admitArrived(t);
-        ev.readyPool.insert(ev.readyPool.begin(),
+        readyPool_.insert(readyPool_.begin(),
                             std::make_move_iterator(c.members.begin()),
                             std::make_move_iterator(c.members.end()));
         c.members.clear();
-        evTakeFairShare(c.members);
+        takeFairShare(c.members);
     }
-    if (!c.members.empty() && !ev.capped) {
-        evStartCycle(c, std::max(t, ev.prefillReady));
+    if (!c.members.empty() && !capped_) {
+        startCycle(c, std::max(t, prefillReady_));
     } else {
-        EventCohort *self = &c;
-        ev.cohorts.remove_if(
-            [self](const EventCohort &x) { return &x == self; });
+        Cohort *self = &c;
+        cohorts_.remove_if(
+            [self](const Cohort &x) { return &x == self; });
     }
-    evFormNewCohorts(t);
+    formNewCohorts(t);
 }
 
 void
-ServingEngine::evFormNewCohorts(double t)
+ServingEngine::formNewCohorts(double t)
 {
-    EventRun &ev = *ev_;
     for (;;) {
-        if (ev.capped || ev.halted)
+        if (capped_ || halted_)
             return;
-        if (ev.cohorts.size() >= ev.pp)
+        if (cohorts_.size() >= cluster_.plan.pp)
             return; // pipeline slots full; rebalance at cycle ends
         admitArrived(t);
-        if (ev.readyPool.empty()) {
+        if (readyPool_.empty()) {
             // Deadlock guard: nothing in flight (decoding or
             // prefilling), nothing admissible, and no event can
             // change that -> the front request can never be
             // served; reject it.
-            if (ev.cohorts.empty() && ev.prefilling == 0 &&
-                ev.queue.empty() && !ev.arrived.empty()) {
+            if (cohorts_.empty() && prefilling_ == 0 &&
+                queue_.empty() && !arrived_.empty()) {
                 ++result_.rejectedRequests;
-                ev.arrived.pop_front();
+                arrived_.pop_front();
                 continue;
             }
             return;
         }
-        ev.cohorts.push_back(EventCohort{ev.nextCohortId++, 0, {}});
-        evTakeFairShare(ev.cohorts.back().members);
-        evStartCycle(ev.cohorts.back(), std::max(t, ev.prefillReady));
+        cohorts_.push_back(Cohort{nextCohortId_++, 0, {}});
+        takeFairShare(cohorts_.back().members);
+        startCycle(cohorts_.back(), std::max(t, prefillReady_));
     }
 }
 
 void
-ServingEngine::evOnArrival(double t)
+ServingEngine::onArrival(double t)
 {
-    EventRun &ev = *ev_;
-    ev.arrivalArmed = false;
-    evAccountTo(t);
-    while (!ev.future.empty() && ev.future.front().arrivalSeconds <= t) {
-        ev.arrived.push_back(ev.future.front());
-        ev.future.pop_front();
+    arrivalArmed_ = false;
+    accountTo(t);
+    while (!future_.empty() && future_.front().arrivalSeconds <= t) {
+        arrived_.push_back(future_.front());
+        future_.pop_front();
     }
-    evArmArrivalEvent();
-    evFormNewCohorts(t);
+    armArrivalEvent();
+    formNewCohorts(t);
 }
 
 void
-ServingEngine::evArmArrivalEvent()
+ServingEngine::armArrivalEvent()
 {
     // Only the head arrival is scheduled — each arrival event chains
     // the next one, so the event heap stays O(1) in the trace
     // length. injectArrivals re-arms when it delivers an arrival
     // earlier than the armed one.
-    EventRun &ev = *ev_;
-    if (ev.future.empty())
+    if (future_.empty())
         return;
-    double at = ev.future.front().arrivalSeconds;
-    if (ev.arrivalArmed && ev.arrivalArmedAt <= at)
+    double at = future_.front().arrivalSeconds;
+    if (arrivalArmed_ && arrivalArmedAt_ <= at)
         return;
-    ev.queue.schedule(at, [this](double t) { evOnArrival(t); });
-    ev.arrivalArmed = true;
-    ev.arrivalArmedAt = at;
+    queue_.schedule(at, [this](double t) { onArrival(t); });
+    arrivalArmed_ = true;
+    arrivalArmedAt_ = at;
 }
 
 void
 ServingEngine::prepare()
 {
-    if (options_.stepModel != StepModel::EventDriven)
-        fatal("ServingEngine::prepare(): the resumable interface "
-              "requires the event-driven step model");
-    if (ev_)
+    if (prepared_)
         fatal("ServingEngine::prepare() called twice");
-    ev_ = std::make_unique<EventRun>();
-    EventRun &ev = *ev_;
-    ev.pp = cluster_.plan.pp;
-    ev.tp = cluster_.plan.tp;
-    ev.spc = cluster_.module.timing.secondsPerCycle();
-    ev.chunked = options_.prefillChunkTokens > 0;
-
-    // Co-scheduling policy: arbitration of the xPU timelines (FIFO
-    // policies keep the plain reservation arithmetic) plus the
-    // SLO admission gate consulted by admitArrived.
-    ev.policy = makeSchedPolicy(options_.sched);
+    prepared_ = true;
     // Policies steering on the gap signal read a streaming windowed
     // p95 (fed by advanceMember) instead of copying and sorting the
     // window every decode cycle. With request classes attached the
     // gate is per tier: each tier gets its own window, judged
     // against its own target (advanceMember routes gaps by tier).
-    if (ev.policy->needsGapSignal() && options_.sched.sloWindow > 0) {
+    if (policy_->needsGapSignal() && options_.sched.sloWindow > 0) {
         if (classesActive_) {
             for (auto &kv : tiers_)
                 kv.second.window = std::make_unique<WindowedQuantile>(
@@ -1201,53 +971,35 @@ ServingEngine::prepare()
                 options_.sched.sloWindow, 95.0);
         }
     }
-    // Every stage carries an xPU timeline: in XpuPim mode it serves
-    // decode FC shares and prefill chunks; in PimOnly mode only the
-    // prefill chunks (the PNM compute engines) land there.
-    ev.stages = std::make_unique<StageDeviceSet>(
-        ev.pp, *module_, xpu_.get(),
-        ev.policy->reordersXpu() ? ev.policy.get() : nullptr);
-    ev.readyPool.reserve(pending_.size());
-
-    // Open-loop arrivals become events; time-zero requests are
-    // available immediately.
-    while (!pending_.empty()) {
-        TimedRequest timed = pending_.front();
-        pending_.pop_front();
-        if (timed.arrivalSeconds <= 0.0)
-            ev.arrived.push_back(timed);
-        else
-            ev.future.push_back(timed); // ctor sorted by arrival
-    }
-    evArmArrivalEvent();
-    evFormNewCohorts(0.0);
+    armArrivalEvent();
+    formNewCohorts(0.0);
 }
 
 void
 ServingEngine::advanceTo(double horizon)
 {
-    if (!ev_)
+    if (!prepared_)
         fatal("ServingEngine::advanceTo() before prepare()");
-    ev_->queue.runUntil(horizon);
+    queue_.runUntil(horizon);
 }
 
 bool
 ServingEngine::drained() const
 {
-    return !ev_ || ev_->queue.empty();
+    return queue_.empty();
 }
 
 double
 ServingEngine::nextEventTime() const
 {
     return drained() ? std::numeric_limits<double>::infinity()
-                     : ev_->queue.nextTime();
+                     : queue_.nextTime();
 }
 
 void
 ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
-    if (ev_)
+    if (prepared_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     requireSortedByArrival(trace, "ServingEngine::declareWorkload");
     // Activation scan over a trace whose requests arrive later (the
@@ -1285,10 +1037,7 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 void
 ServingEngine::declareSessionTurns(const SessionBook &sessions)
 {
-    if (options_.stepModel != StepModel::EventDriven)
-        fatal("ServingEngine::declareSessionTurns(): closed-loop "
-              "turn release requires the event-driven step model");
-    if (ev_)
+    if (prepared_)
         fatal("ServingEngine::declareSessionTurns() after prepare()");
     // Successor turns join the class/tenant declaration exactly as a
     // declared open-loop trace would (tier targets fixed before
@@ -1338,12 +1087,10 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
     // the successor lands on the replica that completed its
     // predecessor (natural session stickiness) without crossing the
     // window barrier protocol.
-    EventRun &ev = *ev_;
-    ev.queue.schedule(next.arrivalSeconds, [this, next](double t) {
-        EventRun &run = *ev_;
-        evAccountTo(t);
-        run.arrived.push_back(next);
-        evFormNewCohorts(t);
+    queue_.schedule(next.arrivalSeconds, [this, next](double t) {
+        accountTo(t);
+        arrived_.push_back(next);
+        formNewCohorts(t);
     });
 }
 
@@ -1362,9 +1109,9 @@ ServingEngine::registerInjected(const TimedRequest &timed)
                             ? cls.gapSloSeconds
                             : options_.sched.sloTargetGapSeconds;
         // A tier first seen mid-run still gets its SLO window when
-        // the policy steers on the gap signal (declared tiers got
+        // the policy steers on the gap signal (declared tiers get
         // theirs in prepare).
-        if (!ts.window && ev_ && ev_->policy->needsGapSignal() &&
+        if (!ts.window && policy_->needsGapSignal() &&
             options_.sched.sloWindow > 0)
             ts.window = std::make_unique<WindowedQuantile>(
                 options_.sched.sloWindow, 95.0);
@@ -1376,37 +1123,36 @@ ServingEngine::registerInjected(const TimedRequest &timed)
 void
 ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
 {
-    if (!ev_)
+    if (!prepared_)
         fatal("ServingEngine::injectArrivals() before prepare()");
-    if (ev_->finalized)
+    if (finalized_)
         fatal("ServingEngine::injectArrivals() after finalize()");
     requireSortedByArrival(batch, "ServingEngine::injectArrivals");
-    EventRun &ev = *ev_;
     bool immediate = false;
     for (const TimedRequest &timed : batch) {
         registerInjected(timed);
         if (timed.arrivalSeconds <= 0.0) {
-            ev.arrived.push_back(timed);
+            arrived_.push_back(timed);
             immediate = true;
         } else {
             // Merge into the nondecreasing pending-arrival stream;
             // upper_bound keeps FIFO order among equal arrival
             // times (later injections queue behind earlier ones).
             auto pos = std::upper_bound(
-                ev.future.begin(), ev.future.end(),
+                future_.begin(), future_.end(),
                 timed.arrivalSeconds,
                 [](double t, const TimedRequest &r) {
                     return t < r.arrivalSeconds;
                 });
-            ev.future.insert(pos, timed);
+            future_.insert(pos, timed);
         }
     }
-    evArmArrivalEvent();
+    armArrivalEvent();
     // Time-zero deliveries skip the arrival-event path (exactly as
     // constructor-supplied time-zero requests do), so form cohorts
     // for them now.
     if (immediate)
-        evFormNewCohorts(ev.queue.now());
+        formNewCohorts(queue_.now());
 }
 
 double
@@ -1416,50 +1162,44 @@ ServingEngine::queuedTokens() const
         return static_cast<double>(r.contextTokens + r.decodeTokens);
     };
     double sum = 0.0;
-    for (const auto &timed : pending_)
+    for (const auto &timed : future_)
         sum += request_tokens(timed.request);
-    if (!ev_)
-        return sum;
-    const EventRun &ev = *ev_;
-    for (const auto &timed : ev.future)
+    for (const auto &timed : arrived_)
         sum += request_tokens(timed.request);
-    for (const auto &timed : ev.arrived)
-        sum += request_tokens(timed.request);
-    for (const auto &a : ev.readyPool)
+    for (const auto &a : readyPool_)
         sum += request_tokens(a.request) - static_cast<double>(a.generated);
-    for (const auto &c : ev.cohorts)
+    for (const auto &c : cohorts_)
         for (const auto &a : c.members)
             sum += request_tokens(a.request) -
                    static_cast<double>(a.generated);
-    return sum + ev.prefillingTokens;
+    return sum + prefillingTokens_;
 }
 
 double
 ServingEngine::now() const
 {
-    return ev_ ? ev_->queue.now() : 0.0;
+    return queue_.now();
 }
 
 ServingEngine::Evacuation
 ServingEngine::evacuate(bool kill_in_flight)
 {
-    if (!ev_)
+    if (!prepared_)
         fatal("ServingEngine::evacuate() before prepare()");
-    EventRun &ev = *ev_;
-    if (ev.finalized)
+    if (finalized_)
         fatal("ServingEngine::evacuate() after finalize()");
 
     Evacuation out;
     // The undelivered/unadmitted queue migrates as-is. arrived may
     // hold preemption requeues with past arrivals, so the merged
     // batch is re-sorted rather than assumed ordered.
-    out.queued.reserve(ev.arrived.size() + ev.future.size());
-    for (const TimedRequest &timed : ev.arrived)
+    out.queued.reserve(arrived_.size() + future_.size());
+    for (const TimedRequest &timed : arrived_)
         out.queued.push_back(timed);
-    ev.arrived.clear();
-    for (const TimedRequest &timed : ev.future)
+    arrived_.clear();
+    for (const TimedRequest &timed : future_)
         out.queued.push_back(timed);
-    ev.future.clear();
+    future_.clear();
     sortByArrival(out.queued);
     if (!kill_in_flight)
         return out;
@@ -1470,8 +1210,8 @@ ServingEngine::evacuate(bool kill_in_flight)
     // the failover router. Residual timeline events for the killed
     // work drain as no-ops: cycle completions find empty cohorts and
     // prefill completions see a stale epoch.
-    ev.halted = true;
-    ++ev.epoch;
+    halted_ = true;
+    ++epoch_;
     auto drop = [&](Active &a) {
         allocator_->release(a.request.id);
         tenantRelease(a);
@@ -1479,19 +1219,19 @@ ServingEngine::evacuate(bool kill_in_flight)
         out.lostTokens += a.generated;
         out.inFlight.push_back({a.request, a.arrival});
     };
-    for (Active &a : ev.readyPool)
+    for (Active &a : readyPool_)
         drop(a);
-    ev.readyPool.clear();
-    for (EventCohort &c : ev.cohorts) {
+    readyPool_.clear();
+    for (Cohort &c : cohorts_) {
         for (Active &m : c.members)
             drop(m);
         c.members.clear();
     }
-    for (const auto &holder : ev.prefillHolders)
+    for (const auto &holder : prefillHolders_)
         drop(*holder);
-    ev.prefillHolders.clear();
-    ev.prefilling = 0;
-    ev.prefillingTokens = 0.0;
+    prefillHolders_.clear();
+    prefilling_ = 0;
+    prefillingTokens_ = 0.0;
     // The crash loses the replica's KV wholesale — retained prefixes
     // included. The tree restarts cold after restoreService().
     if (prefixActive_)
@@ -1503,43 +1243,42 @@ ServingEngine::evacuate(bool kill_in_flight)
 void
 ServingEngine::restoreService()
 {
-    if (!ev_)
+    if (!prepared_)
         fatal("ServingEngine::restoreService() before prepare()");
     // Just lift the halt: queues are empty (the evacuation took
     // them), so service resumes with the next injected arrival.
-    ev_->halted = false;
+    halted_ = false;
 }
 
 void
 ServingEngine::setServiceRateScale(double factor)
 {
-    if (!ev_)
+    if (!prepared_)
         fatal("ServingEngine::setServiceRateScale() before prepare()");
     if (!(factor > 0.0))
         fatal("ServingEngine::setServiceRateScale(%.17g): factor "
               "must be positive",
               factor);
-    ev_->serviceRateScale = factor;
+    serviceRateScale_ = factor;
 }
 
 EngineResult
 ServingEngine::finalize()
 {
-    if (!ev_)
+    if (!prepared_)
         fatal("ServingEngine::finalize() before prepare()");
-    EventRun &ev = *ev_;
-    if (ev.finalized)
+    if (finalized_)
         fatal("ServingEngine::finalize() called twice");
-    ev.finalized = true;
+    finalized_ = true;
 
-    result_.truncated = ev.capped;
-    if (ev.capped)
+    result_.truncated = capped_;
+    if (capped_)
         warn("engine stopped at the cycle cap (%llu)",
              static_cast<unsigned long long>(options_.maxSteps));
 
     // Per-policy observability off the stage timelines.
-    for (unsigned s = 0; s < ev.stages->count(); ++s) {
-        XpuStageDevice *x = ev.stages->stage(s).xpu();
+    for (unsigned s = 0; s < stages_->count(); ++s) {
+        XpuStageDevice *x = stages_->stage(s).xpu();
         if (!x)
             continue;
         result_.chunkSlices += x->preemptionSlices() -
@@ -1556,8 +1295,8 @@ ServingEngine::finalize()
         result_.xpuPrefillBusySeconds += x->prefillBusySeconds();
     }
 
-    result_.simulatedSeconds = ev.endTime;
-    result_.simEvents = ev.queue.dispatched();
+    result_.simulatedSeconds = endTime_;
+    result_.simEvents = queue_.dispatched();
     if (prefixActive_) {
         const PrefixCacheStats &pc = prefixCache_->stats();
         result_.prefixHits = pc.hits;
@@ -1569,24 +1308,15 @@ ServingEngine::finalize()
         result_.sharedKvPeakBytes = prefixSharedPeak_;
         result_.uniqueKvPeakBytes = prefixUniquePeak_;
     }
-    finalizeResult(ev.acc, ev.batchTime, ev.capacityTime);
-    return result_;
-}
-
-void
-ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
-                              double capacity_time)
-{
     if (result_.simulatedSeconds > 0.0) {
         result_.tokensPerSecond =
             static_cast<double>(result_.generatedTokens) /
             result_.simulatedSeconds;
-        result_.avgEffectiveBatch =
-            batch_time / result_.simulatedSeconds;
+        result_.avgEffectiveBatch = batchTime_ / result_.simulatedSeconds;
         result_.capacityUtilization =
-            capacity_time / result_.simulatedSeconds;
+            capacityTime_ / result_.simulatedSeconds;
     }
-    result_.macUtilization = safeRatio(acc.busyCycles, acc.spanCycles);
+    result_.macUtilization = safeRatio(macBusyCycles_, macSpanCycles_);
 
     // O(n) summaries: a running sum for the average (accumulated in
     // sample-production order) and one nth_element for the
@@ -1649,6 +1379,7 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
             result_.tenantOccupancy.push_back(to);
         }
     }
+    return result_;
 }
 
 EngineResult

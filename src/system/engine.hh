@@ -4,31 +4,27 @@
  * system with TP/PP parallelism, allocator-driven admission, and
  * per-step latency composed from the module models.
  *
- * Two step models are available. The event-driven core (default)
- * schedules per-cohort (micro-batch), per-stage work items on the
- * sim subsystem's event queue: cohorts traverse the PP stages as
- * FIFO devices and decode asynchronously, so a fast cohort is not
- * padded to the slowest one and admission is arrival-driven. The
- * analytic model collapses each step into the closed-form
- * stageBeats * max_stage_sec expression; the two agree on PP=1
- * (single-cohort) configurations, where the pipeline recurrence
- * degenerates to the closed form. Both charge time, occupancy and
- * energy through one rule, accountCycle(): the event core per cohort
- * cycle, the analytic model per step (its micro-batch plans summed).
+ * The engine runs on the sim subsystem's event queue: per-cohort
+ * (micro-batch), per-stage work items traverse the PP stages as
+ * devices and cohorts decode asynchronously, so a fast cohort is not
+ * padded to the slowest one and admission is arrival-driven. Time,
+ * occupancy and energy are charged through one rule, accountCycle(),
+ * once per cohort cycle. On PP=1 (single-cohort) configurations the
+ * pipeline recurrence degenerates to the closed-form lockstep
+ * stageBeats * max_stage_sec, which the tests keep as an oracle.
  *
  * Scope note: decode remains the focus (the paper locates the PIM
- * bottlenecks there), but prefill is now first-class work rather
- * than a free memory charge. Under the event-driven model with
- * EngineOptions::prefillChunkTokens > 0, an admitted request enters
- * a Prefilling state: its context is split into chunked work items
- * (system/prefill's planner) that traverse the per-stage xPU
- * timelines on the event queue, interleaving FIFO with — and
- * delaying — decode FC work, the way a continuous-batching
+ * bottlenecks there), but prefill is first-class work rather than a
+ * free memory charge. With EngineOptions::prefillChunkTokens > 0, an
+ * admitted request enters a Prefilling state: its context is split
+ * into chunked work items (system/prefill's planner) that traverse
+ * the per-stage xPU timelines on the event queue, interleaving FIFO
+ * with — and delaying — decode FC work, the way a continuous-batching
  * scheduler shares its compute engines between phases. The request
  * joins the decode ready pool only when its last chunk completes.
- * The analytic model (and chargePrefill without chunking) keeps the
- * scalar prefillSeconds() charge at admission for parity; the
- * chunked per-request total matches that scalar exactly.
+ * chargePrefill without chunking keeps the scalar prefillSeconds()
+ * charge, serialized on one prefill clock; the chunked per-request
+ * total matches that scalar exactly.
  */
 
 #ifndef PIMPHONY_SYSTEM_ENGINE_HH
@@ -36,6 +32,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -45,6 +42,8 @@
 #include "alloc/kv_allocator.hh"
 #include "common/stats.hh"
 #include "mapping/partition.hh"
+#include "sim/event_queue.hh"
+#include "sim/work_item.hh"
 #include "system/cluster.hh"
 #include "system/sched_policy.hh"
 #include "system/serving_options.hh"
@@ -55,9 +54,11 @@
 
 namespace pimphony {
 
+class StageDeviceSet;
+
 /**
- * Engine-level knob set: the shared serving options (step model,
- * prefill chunking, co-scheduling policy, tenant budgets — see
+ * Engine-level knob set: the shared serving options (prefill
+ * chunking, co-scheduling policy, tenant budgets — see
  * system/serving_options.hh) plus the engine's own allocator choice
  * and safety cap.
  */
@@ -123,7 +124,7 @@ struct EngineResult
      */
     std::unordered_map<RequestId, double> completionSeconds;
 
-    // --- Co-scheduling policy metrics (event-driven model). ---------
+    // --- Co-scheduling policy metrics. -------------------------------
 
     /** Admission checks deferred by the SLO gate (SloAdmission). */
     std::uint64_t sloDeferrals = 0;
@@ -152,10 +153,9 @@ struct EngineResult
     double xpuPrefillBusySeconds = 0.0;
 
     /**
-     * Events dispatched by the event-driven core (0 under the
-     * analytic model). Deterministic for a given configuration and
-     * seed; bench_simperf divides it by wall time for the
-     * events-per-second trajectory metric.
+     * Events dispatched by the event core. Deterministic for a
+     * given configuration and seed; bench_simperf divides it by wall
+     * time for the events-per-second trajectory metric.
      */
     std::uint64_t simEvents = 0;
 
@@ -278,11 +278,11 @@ class ServingEngine
 
     EngineResult run();
 
-    // --- Resumable sub-simulation interface (event-driven model
-    // --- only). run() is the exact composition prepare() ->
-    // --- advanceTo(+inf) -> finalize(), bit for bit, so a windowed
-    // --- caller (the fleet simulation) reproduces a monolithic run
-    // --- whenever it feeds the same arrivals. --------------------------
+    // --- Resumable sub-simulation interface. run() is the exact
+    // --- composition prepare() -> advanceTo(+inf) -> finalize(), bit
+    // --- for bit, so a windowed caller (the fleet simulation)
+    // --- reproduces a monolithic run whenever it feeds the same
+    // --- arrivals. ----------------------------------------------------
 
     /**
      * Pre-declare the class/tenant shape of a workload whose
@@ -300,8 +300,8 @@ class ServingEngine
      * workload (workload/session.hh): when the request keyed in
      * @p sessions completes at time t, its successor turn is
      * released as a fresh arrival at t + thinkSeconds — the
-     * dependency an open-loop trace cannot express. Event-driven
-     * model only; must run before prepare(). Calls accumulate.
+     * dependency an open-loop trace cannot express. Must run before
+     * prepare(). Calls accumulate.
      *
      * Semantics worth knowing: a rejected or never-completing
      * predecessor keeps the rest of its session unreleased (the user
@@ -312,8 +312,8 @@ class ServingEngine
     void declareSessionTurns(const SessionBook &sessions);
 
     /**
-     * Build the event-driven run state and schedule the initial
-     * events (constructor-supplied arrivals, first cohorts). After
+     * Schedule the initial events (constructor-supplied arrivals,
+     * first cohorts) and size the SLO windows. After
      * prepare() the engine is a resumable sub-simulation: advance it
      * with advanceTo(), feed it with injectArrivals(), and close it
      * with finalize().
@@ -463,13 +463,19 @@ class ServingEngine
         double tenantCharge = 0.0;
     };
 
+    /** One in-flight decode cohort (micro-batch). */
+    struct Cohort
+    {
+        std::uint32_t id = 0;
+        std::uint64_t cycle = 0;
+        std::vector<Active> members;
+    };
+
     /**
      * Device-time plan for one decode cycle of one cohort
      * (micro-batch): the per-stage service time plus the cycle's
-     * aggregate phase seconds, occupancy, and energy. Both step
-     * models charge plans through accountCycle(); the event core
-     * submits one per cohort cycle, the analytic step sums its
-     * micro-batches' plans into one.
+     * aggregate phase seconds, occupancy, and energy, charged through
+     * accountCycle().
      */
     struct CyclePlan
     {
@@ -478,13 +484,6 @@ class ServingEngine
 
         /** xPU share of one layer's service (XpuPim overlap). */
         double fcLayerSeconds = 0.0;
-
-        /**
-         * Service seconds of the slowest PP stage (the last stage
-         * when the layer count does not divide evenly): the beat
-         * length the analytic model charges per stage slot.
-         */
-        double maxStageSeconds = 0.0;
 
         /** Layers across all stages (= nLayers when pp <= nLayers). */
         double layersTotal = 0.0;
@@ -501,31 +500,18 @@ class ServingEngine
     };
 
     /**
-     * Running channel-cycle totals for MAC utilization. Both step
-     * models add one (busy, span) pair per cycle/step in simulation
-     * order, so the scalar sums round exactly as the former
-     * per-cycle vectors summed at finalize did — without growing a
-     * vector per cycle.
-     */
-    struct ChannelAccum
-    {
-        double busyCycles = 0.0;
-        double spanCycles = 0.0;
-    };
-
-    /**
-     * Per-request admission rule shared by both step models:
-     * Rejected = can never be served here, Blocked = waits for
-     * memory, BudgetBlocked = the request's tenant is over budget
-     * and borrowing was denied (@p allow_borrow false; only with
-     * tenant budgets configured), Admitted = reserved.
+     * Per-request admission rule: Rejected = can never be served
+     * here, Blocked = waits for memory, BudgetBlocked = the request's
+     * tenant is over budget and borrowing was denied (@p allow_borrow
+     * false; only with tenant budgets configured), Admitted =
+     * reserved.
      */
     enum class AdmitOutcome { Admitted, Rejected, Blocked, BudgetBlocked };
 
     /** What tryAdmitOne decided; on Admitted, the request (with its
      *  prefix-cache state) and its scalar prefill charge (nonzero
      *  when chargePrefill or prefillChunkTokens is set; the chunked
-     *  event path apportions it over chunk items). */
+     *  path apportions it over chunk items). */
     struct Admission
     {
         AdmitOutcome outcome = AdmitOutcome::Rejected;
@@ -535,26 +521,22 @@ class ServingEngine
     Admission tryAdmitOne(const TimedRequest &timed, bool allow_borrow);
 
     /**
-     * The admission scan both step models run at time @p now: walk
-     * pending_ (analytic) or the arrived queue (event-driven) in FIFO
-     * order through tryAdmitOne. Stops at a memory block and at a
-     * request that has not arrived yet (looks past it under tenant
-     * budgets); skips a prefill the SLO gate defers (one
-     * sloDeferrals per scan) and a budget-blocked request. Analytic
-     * admissions charge their prefill to the clock and join active_;
-     * event-driven ones start their chunked prefill, or take the
-     * scalar charge on the prefillReady clock and join the pool.
+     * The admission scan at time @p now: walk the arrived queue in
+     * FIFO order through tryAdmitOne. Stops at a memory block; skips
+     * a prefill the SLO gate defers (one sloDeferrals per scan) and a
+     * budget-blocked request. Admissions start their chunked prefill,
+     * or take the scalar charge on the prefillReady_ clock and join
+     * the ready pool.
      */
     void admitArrived(double now);
 
     /**
      * Advance @p a by the one token produced at @p completion_clock:
-     * grow-or-preempt (re-queueing to @p requeue with the original
-     * arrival), then complete-or-continue. Returns false when the
-     * request leaves the active set. Shared by both step models.
+     * grow-or-preempt (re-queueing to the arrived queue with the
+     * original arrival), then complete-or-continue. Returns false
+     * when the request leaves its cohort.
      */
-    bool advanceMember(Active &a, double completion_clock,
-                       std::deque<TimedRequest> &requeue);
+    bool advanceMember(Active &a, double completion_clock);
 
     /** Device-time plan for one decode cycle of [@p begin, @p end). */
     CyclePlan planCohortCycle(const Active *begin, const Active *end);
@@ -564,66 +546,51 @@ class ServingEngine
      * (including the idle-background share over @p span_cycles of
      * channel occupancy) into the running result.
      */
-    void accountCycle(const CyclePlan &plan, double span_cycles,
-                      ChannelAccum &acc);
+    void accountCycle(const CyclePlan &plan, double span_cycles);
 
-    /** Seconds of one lockstep decode step (charged by accountCycle). */
-    double stepSeconds(ChannelAccum &acc);
-
-    EngineResult runAnalytic();
-    void finalizeResult(const ChannelAccum &acc, double batch_time,
-                        double capacity_time);
-
-    // --- Event-driven run state (resumable between advanceTo calls).
-    // --- Both types live in engine.cc; the ev* methods below are
-    // --- its event handlers. -----------------------------------------
-
-    /** One in-flight decode cohort (micro-batch). */
-    struct EventCohort;
-
-    /** Heap-held state of one prepared event-driven run. */
-    struct EventRun;
+    // --- Event handlers of the run (resumable between advanceTo
+    // --- calls). ------------------------------------------------------
 
     /** Integrate batch/capacity time-averages up to @p t. */
-    void evAccountTo(double t);
+    void accountTo(double t);
 
     /** Decoding requests across the in-flight cohorts. */
-    std::size_t evInFlightCount() const;
+    std::size_t inFlightCount() const;
 
     /** Stable-sort the ready pool by tier (classes only), then move
      *  a fair share, ceil((in flight + ready) / pp) and at least
      *  one, into @p into. */
-    void evTakeFairShare(std::vector<Active> &into);
+    void takeFairShare(std::vector<Active> &into);
 
     /** Hoist the per-scan tier in-flight flags (class gate). */
-    void evRefreshTiersInFlight();
+    void refreshTiersInFlight();
 
     /** Per-class SLO admission gate (see classGateDefers notes). */
-    bool evClassGateDefers(const RequestClass &cls);
+    bool classGateDefers(const RequestClass &cls);
 
     /** Submit an admitted request's chunked prefill sequence. */
-    void evStartPrefill(Active a, double now);
+    void startPrefill(Active a, double now);
 
     /** Submit one decode cycle of @p c on the stage pipeline. */
-    void evStartCycle(EventCohort &c, double ready);
+    void startCycle(Cohort &c, double ready);
 
     /** Cycle completion: advance members, rebalance, resubmit. */
-    void evOnCycleComplete(EventCohort &c, double t);
+    void onCycleComplete(Cohort &c, double t);
 
     /** Form cohorts from the ready pool while slots are free. */
-    void evFormNewCohorts(double t);
+    void formNewCohorts(double t);
 
     /** Arrival event: drain due arrivals, re-arm, form cohorts. */
-    void evOnArrival(double t);
+    void onArrival(double t);
 
     /**
      * Schedule the arrival event for the earliest pending arrival
      * unless one at or before it is already armed (injectArrivals
      * may re-arm earlier than a drained chain would).
      */
-    void evArmArrivalEvent();
+    void armArrivalEvent();
 
-    /** Per-request class/tenant bookkeeping of a mid-run arrival. */
+    /** Per-request class/tenant bookkeeping of an arriving request. */
     void registerInjected(const TimedRequest &timed);
 
     /**
@@ -685,17 +652,15 @@ class ServingEngine
     void integrateTenantShares(double dt);
 
     /**
-     * Tenants with an under-budget ("entitled") request waiting in
-     * @p queue, computed once per admission scan. A borrower is
+     * Tenants with an under-budget ("entitled") request in the
+     * arrived queue, computed once per admission scan. A borrower is
      * denied while any OTHER tenant appears here (see
      * entitledElsewhere), preserving every active tenant's
      * guarantee. Reservations only grow during a scan, so the set
      * can only shrink mid-scan — a stale entry defers a borrower to
      * the next round but never breaks a guarantee.
      */
-    std::set<unsigned>
-    entitledTenantsWaiting(const std::deque<TimedRequest> &queue,
-                           double now) const;
+    std::set<unsigned> entitledTenantsWaiting() const;
 
     /** True when @p entitled holds a tenant other than @p tenant. */
     static bool entitledElsewhere(const std::set<unsigned> &entitled,
@@ -704,8 +669,6 @@ class ServingEngine
     ClusterConfig cluster_;
     LlmConfig model_;
     EngineOptions options_;
-    std::deque<TimedRequest> pending_;
-    std::vector<Active> active_;
     std::unique_ptr<KvAllocator> allocator_;
 
     // --- Prefix-sharing state (prefixCache.enabled only). -----------
@@ -775,8 +738,91 @@ class ServingEngine
     /** Per-cycle scratch for planCohortCycle's attention jobs. */
     std::vector<AttentionJob> jobsScratch_;
 
-    /** Live event-driven run (prepare() .. finalize()). */
-    std::unique_ptr<EventRun> ev_;
+    // --- Run state (constructor .. finalize()). ----------------------
+
+    sim::EventQueue queue_;
+
+    /** Co-scheduling policy: xPU arbitration and the SLO gate. */
+    std::unique_ptr<SchedPolicy> policy_;
+    std::unique_ptr<StageDeviceSet> stages_;
+
+    /** prepare() / finalize() ran (call-order checks). */
+    bool prepared_ = false;
+    bool finalized_ = false;
+
+    /**
+     * Running channel-cycle totals for MAC utilization, one (busy,
+     * span) pair added per cohort cycle in simulation order.
+     */
+    double macBusyCycles_ = 0.0;
+    double macSpanCycles_ = 0.0;
+
+    /** Integrals of decoding batch and capacity use over time. */
+    double batchTime_ = 0.0;
+    double capacityTime_ = 0.0;
+    double lastAccount_ = 0.0;
+    double endTime_ = 0.0;
+
+    std::list<Cohort> cohorts_; // list keeps addresses stable
+
+    /** Arrived, not yet admitted (preemptions requeue here too). */
+    std::deque<TimedRequest> arrived_;
+
+    /** Not-yet-arrived requests, nondecreasing arrival order. */
+    std::deque<TimedRequest> future_;
+
+    std::vector<Active> readyPool_; // admitted, waiting for a cohort
+    std::vector<sim::WorkItem> cycleItems_;
+    std::vector<std::vector<sim::WorkItem>> seqScratch_;
+    std::uint64_t prefilling_ = 0; // admitted, chunks in flight
+
+    /** Context + decode tokens of the prefilling requests (the
+     *  queuedTokens share submitSequence holders hide). */
+    double prefillingTokens_ = 0.0;
+
+    /**
+     * Requests whose prefill chunks are on the timelines, reachable
+     * for evacuation (the submitSequence completion lambdas share
+     * ownership). Erased as completions land.
+     */
+    std::vector<std::shared_ptr<Active>> prefillHolders_;
+
+    /**
+     * Brown-out stretch applied to device charges at submission
+     * (decode cycles, prefill chunks, the scalar prefill clock).
+     * Exactly 1.0 is bit-transparent: multiplying a double by 1.0
+     * is exact, so the fault-free engine is reproduced bit for bit.
+     */
+    double serviceRateScale_ = 1.0;
+
+    /**
+     * A killing evacuate() halted the engine: no admissions, no new
+     * cohorts, stale prefill completions dropped. Cleared by
+     * restoreService().
+     */
+    bool halted_ = false;
+
+    /**
+     * Evacuation generation. In-flight prefill completions capture
+     * the epoch at submission and discard themselves when a killing
+     * evacuate() has bumped it since — their request was already
+     * rewound and failed over.
+     */
+    std::uint64_t epoch_ = 0;
+
+    std::uint32_t nextCohortId_ = 0;
+    std::uint64_t cycles_ = 0;
+    bool capped_ = false;
+
+    /** Scalar-prefill serialization clock (chargePrefill). */
+    double prefillReady_ = 0.0;
+
+    /** An arrival event is scheduled (at arrivalArmedAt_). */
+    bool arrivalArmed_ = false;
+    double arrivalArmedAt_ = 0.0;
+
+    /** Hoisted per-admission-scan tier in-flight flags. */
+    std::set<unsigned> scanTiersInFlight_;
 
     EngineResult result_;
 };

@@ -45,9 +45,6 @@ FleetEngine::FleetEngine(const ClusterConfig &cluster,
 {
     if (options_.replicas == 0)
         fatal("FleetEngine: at least one replica is required");
-    if (options_.engine.stepModel != StepModel::EventDriven)
-        fatal("FleetEngine: the fleet simulation requires the "
-              "event-driven step model");
     if (options_.dispatchLatencySeconds < 0.0)
         fatal("FleetEngine: negative dispatch latency");
     options_.faults.validate(options_.replicas);

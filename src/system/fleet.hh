@@ -122,7 +122,7 @@ struct FleetOptions
      */
     unsigned threads = 1;
 
-    /** Per-replica engine configuration (event-driven model only). */
+    /** Per-replica engine configuration. */
     EngineOptions engine;
 
     /**
@@ -240,9 +240,8 @@ struct FleetResult
 };
 
 /**
- * Router + N replica ServingEngines over one open-loop trace.
- * Requires the event-driven step model (the resumable engine
- * interface); run() may be called once.
+ * Router + N replica ServingEngines over one open-loop trace, driven
+ * through the resumable engine interface; run() may be called once.
  */
 class FleetEngine
 {

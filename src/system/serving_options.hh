@@ -8,14 +8,13 @@
  * hand, so every new serving knob had to be added — and copied at
  * runPlan time — in two places. Both now embed ServingOptions as a
  * base, and the orchestrator forwards the whole block with one slice
- * assignment; existing field accesses (`opts.stepModel`,
- * `config.sched`, ...) compile unchanged.
+ * assignment; existing field accesses (`opts.sched`,
+ * `config.prefillChunkTokens`, ...) compile unchanged.
  */
 
 #ifndef PIMPHONY_SYSTEM_SERVING_OPTIONS_HH
 #define PIMPHONY_SYSTEM_SERVING_OPTIONS_HH
 
-#include <string>
 #include <vector>
 
 #include "alloc/prefix_cache.hh"
@@ -24,16 +23,14 @@
 
 namespace pimphony {
 
-/** How the engine composes device time into serving time. */
-enum class StepModel {
-    /** Closed-form lockstep steps: stageBeats * max_stage_sec. */
-    Analytic,
-
-    /** Event-driven cohort pipeline on the sim core (default). */
-    EventDriven,
-};
-
-std::string stepModelName(StepModel model);
+/**
+ * Compatibility shim: the engine has one step model, the event-driven
+ * cohort pipeline on the sim core. The enum has a single value and
+ * the engine ignores ServingOptions::stepModel. The field, then the
+ * enum, are deleted once the benchmark driver
+ * (benchmark/src/workloads.cc) stops assigning it.
+ */
+enum class StepModel { EventDriven };
 
 /**
  * Admission budget of one tenant: a guaranteed share of the KV token
@@ -58,17 +55,15 @@ struct TenantBudget
  */
 struct ServingOptions
 {
+    /** Ignored (see StepModel). */
     StepModel stepModel = StepModel::EventDriven;
 
     /**
-     * Context tokens per prefill chunk. When > 0 under the
-     * event-driven model, admitted requests prefill as chunked work
-     * items on the xPU stage timelines (continuous prefill/decode
-     * batching) instead of a scalar time charge; smaller chunks
-     * interleave more finely with decode at the cost of more
-     * hand-offs. Under the analytic model a positive value falls
-     * back to the scalar charge (chargePrefill semantics) so the two
-     * models stay comparable. 0 disables chunking.
+     * Context tokens per prefill chunk. When > 0, admitted requests
+     * prefill as chunked work items on the xPU stage timelines
+     * (continuous prefill/decode batching) instead of a scalar time
+     * charge; smaller chunks interleave more finely with decode at
+     * the cost of more hand-offs. 0 disables chunking.
      */
     Tokens prefillChunkTokens = 0;
 
@@ -82,9 +77,7 @@ struct ServingOptions
     /**
      * Prefill/decode co-scheduling policy for the per-stage xPU
      * timelines (and the admission gate). Defaults to FIFO — the
-     * PR 2 behavior, bit for bit. Policies act under the
-     * event-driven model only; the analytic model has no per-item
-     * timeline to arbitrate and ignores them.
+     * PR 2 behavior, bit for bit.
      */
     SchedPolicyConfig sched;
 
@@ -94,9 +87,7 @@ struct ServingOptions
      * default — disables tenant accounting entirely, and no request
      * is ever budget-blocked. With budgets set, the admission scan
      * skips budget-blocked requests so one saturating tenant cannot
-     * head-of-line block the others, and looks past requests that
-     * have not arrived yet to reach preempted ones requeued behind
-     * them.
+     * head-of-line block the others.
      */
     std::vector<TenantBudget> tenantBudgets;
 
@@ -107,7 +98,7 @@ struct ServingOptions
      * cached share of their prefill charge and map the shared chunks
      * instead of reserving fresh ones. Disabled by default; off
      * reproduces the cache-less engine bit for bit. Requires the
-     * event-driven model and the LazyChunk allocator.
+     * LazyChunk allocator.
      */
     PrefixCacheOptions prefixCache;
 };

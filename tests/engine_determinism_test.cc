@@ -8,8 +8,8 @@
  *
  *  - Golden metrics: seeded configurations pinned at hex-float
  *    precision to the values the pre-overhaul engine produced (the
- *    phase-energy pins and the analytic micro-batch config came
- *    later, captured from the engine of their time). Every
+ *    phase-energy pins and configs C and E came later, captured from
+ *    the engine of their time). Every
  *    simulated quantity — event times, percentiles, throughput,
  *    policy counters, phase energies — must match to double
  *    precision; the three avg* summary means are pinned to 1e-12
@@ -50,7 +50,6 @@ runConfigA()
     auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     return ServingEngine(cluster, model, timed, opts).run();
 }
@@ -68,12 +67,15 @@ runConfigB()
     auto timed = poissonArrivals(reqs, 2.0, 7);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 1024;
     opts.sched.kind = SchedPolicyKind::SloAdmission;
     return ServingEngine(cluster, model, timed, opts).run();
 }
 
+/**
+ * PIM-only PP=1 closed loop: the PimOnly cycle accounting (attention
+ * and FC both on the PIM channels) on a single cohort.
+ */
 EngineResult
 runConfigC()
 {
@@ -85,7 +87,6 @@ runConfigC()
         reqs.push_back({i, 20000 + 5000 * Tokens(i), 16});
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
     return ServingEngine(cluster, model, reqs, opts).run();
 }
 
@@ -101,17 +102,16 @@ runConfigD()
     auto timed = poissonArrivals(reqs, 1.5, 17);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.sched.kind = SchedPolicyKind::ChunkPreempt;
     return ServingEngine(cluster, model, timed, opts).run();
 }
 
 /**
- * Analytic PP=4 open loop with the scalar prefill charge: steps split
- * the active set into several micro-batches, and the XpuPim system
- * leaves most channel-cycles idle, so the step charges idle
- * background energy on top of the per-micro-batch plans.
+ * PP=4 open loop with the unchunked scalar prefill charge: admissions
+ * serialize on the prefillReady clock that gates new cycles, and the
+ * XpuPim system leaves most channel-cycles idle, so each cycle
+ * charges idle background energy on top of its plan.
  */
 EngineResult
 runConfigE()
@@ -127,7 +127,6 @@ runConfigE()
     auto timed = poissonArrivals(reqs, 12.0, 23);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
     opts.chargePrefill = true;
     return ServingEngine(cluster, model, timed, opts).run();
 }
@@ -214,7 +213,7 @@ TEST(EngineGolden, EventDrivenPp2SloAdmission)
                  0x1.266666666664cp+41);
 }
 
-TEST(EngineGolden, AnalyticPp1)
+TEST(EngineGolden, EventDrivenPp1PimOnlyClosedLoop)
 {
     auto r = runConfigC();
     EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.4499752e43138p+9);
@@ -226,11 +225,23 @@ TEST(EngineGolden, AnalyticPp1)
     EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.41f3ea3258a45p-2);
     EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.eb60136ea557bp-4);
     EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.b93da3cf7d811p-5);
+    EXPECT_DOUBLE_EQ(r.prefillSeconds, 0.0);
     EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.93cbcf4bd81acp-3);
     EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.93ba17cf90b2ap-7);
     EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.93d3dce16cedp-7);
-    expectAvgNear(r.avgTokenGapSeconds, 0x1.93ccfda97677ep-7);
-    EXPECT_EQ(r.simEvents, 0u); // the analytic model runs no events
+    EXPECT_DOUBLE_EQ(r.maxDecodeXpuWaitSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(r.xpuPrefillBusySeconds, 0.0);
+    expectAvgNear(r.avgRequestLatency, 0x1.93cbcf4bd81acp-3);
+    expectAvgNear(r.avgFirstTokenSeconds, 0x1.93ba17cf90b29p-7);
+    expectAvgNear(r.avgTokenGapSeconds, 0x1.93ccfda97677fp-7);
+    EXPECT_EQ(r.preemptions, 0u);
+    EXPECT_EQ(r.rejectedRequests, 0u);
+    EXPECT_EQ(r.sloDeferrals, 0u);
+    EXPECT_EQ(r.chunkSlices, 0u);
+    EXPECT_EQ(r.decodeOvertakes, 0u);
+    EXPECT_FALSE(r.truncated);
+    // One cohort, one completion event per decode cycle.
+    EXPECT_EQ(r.simEvents, 16u);
     expectEnergy(r.attentionEnergy, 0x1.98cap+40, 0x1.930cp+37,
                  0x1.74aa494929defp+39, 0x1.0eb4p+34, 0x1.3c68p+33,
                  0x1.75cp+37);
@@ -261,32 +272,38 @@ TEST(EngineGolden, EventDrivenChunkPreempt)
                  0x1.b9999999999b3p+39);
 }
 
-TEST(EngineGolden, AnalyticPp4MicroBatchesChargePrefill)
+TEST(EngineGolden, EventDrivenPp4ScalarPrefill)
 {
     auto r = runConfigE();
-    EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.f05ce746442b8p+8);
-    EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.08109a9106fe8p+2);
+    EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.edc6e050bfe15p+8);
+    EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.0972a5824eb98p+2);
     EXPECT_EQ(r.generatedTokens, 2048u);
     EXPECT_EQ(r.completedRequests, 32u);
-    // Several micro-batches per step on average (pp = 4).
-    EXPECT_DOUBLE_EQ(r.avgEffectiveBatch, 0x1.88433f93dae56p+2);
-    EXPECT_DOUBLE_EQ(r.macUtilization, 0x1.0ec348508329ep-4);
-    EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.69b8ee5a5a253p-6);
-    EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.f56dd5c670923p+0);
-    EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.eb8ce82273e9cp+2);
+    EXPECT_DOUBLE_EQ(r.avgEffectiveBatch, 0x1.6cd2104072868p+3);
+    EXPECT_DOUBLE_EQ(r.macUtilization, 0x1.11378485d593p-4);
+    EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.5838810361b62p-5);
+    EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.f56dd5c670906p+0);
+    EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.0594a7fb49314p+3);
     EXPECT_DOUBLE_EQ(r.prefillSeconds, 0x1.dfff2e9ecee2dp+0);
-    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.d89d88b4096b9p+0);
-    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.85f4cb3320d5p-2);
-    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.c6837dd8f72cp-6);
-    expectAvgNear(r.avgRequestLatency, 0x1.83a36ebe151cbp+0);
-    expectAvgNear(r.avgFirstTokenSeconds, 0x1.5d1f98b7de53dp-3);
-    expectAvgNear(r.avgTokenGapSeconds, 0x1.5d7550eac462fp-6);
+    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.d4e561477ad33p+0);
+    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.206bad7274fc8p-2);
+    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.3a3142e4a71ep-3);
+    EXPECT_DOUBLE_EQ(r.maxDecodeXpuWaitSeconds, 0x1p-51);
+    EXPECT_DOUBLE_EQ(r.xpuPrefillBusySeconds, 0.0);
+    expectAvgNear(r.avgRequestLatency, 0x1.8340b53363043p+0);
+    expectAvgNear(r.avgFirstTokenSeconds, 0x1.0efd9fccbd71dp-3);
+    expectAvgNear(r.avgTokenGapSeconds, 0x1.66fcf50e03648p-6);
     EXPECT_EQ(r.preemptions, 0u);
     EXPECT_EQ(r.rejectedRequests, 0u);
+    EXPECT_EQ(r.sloDeferrals, 0u);
+    EXPECT_EQ(r.chunkSlices, 0u);
+    EXPECT_EQ(r.decodeOvertakes, 0u);
+    EXPECT_FALSE(r.truncated);
+    EXPECT_EQ(r.simEvents, 2680u);
     expectEnergy(r.attentionEnergy, 0x1.6378p+41, 0x1.e14p+38,
-                 0x1.499af84e2d819p+41, 0x1.2e58p+35, 0.0, 0x1.45p+38);
-    expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.ab86ff802e3edp+42, 0.0, 0.0,
-                 0x1.2666666666663p+43);
+                 0x1.38fc714d1ebbbp+41, 0x1.2e58p+35, 0.0, 0x1.45p+38);
+    expectEnergy(r.fcEnergy, 0.0, 0.0, 0x1.ada0807169239p+42, 0.0, 0.0,
+                 0x1.2666666666668p+43);
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreBitIdentical)

@@ -335,7 +335,6 @@ cachingOptions(bool enabled)
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.chargePrefill = true;
     opts.prefixCache.enabled = enabled;
@@ -483,7 +482,6 @@ TEST(PrefixEngine, DisabledIsBitIdenticalToBaseline)
 
     EngineOptions base;
     base.allocator = AllocatorKind::LazyChunk;
-    base.stepModel = StepModel::EventDriven;
     base.prefillChunkTokens = 2048;
     auto disabled = base;
     disabled.prefixCache.enabled = false;
@@ -560,7 +558,7 @@ TEST(PrefixEngine, FractionalTenantChargeRefundsExactly)
     }
 }
 
-TEST(PrefixEngine, RequiresLazyChunkAndEventDriven)
+TEST(PrefixEngine, RequiresLazyChunk)
 {
     auto model = testModel();
     auto cluster = testCluster(model);
@@ -570,12 +568,6 @@ TEST(PrefixEngine, RequiresLazyChunkAndEventDriven)
     EXPECT_DEATH(
         ServingEngine(cluster, model, trace, static_opts).run(),
         "LazyChunk");
-    auto analytic_opts = cachingOptions(true);
-    analytic_opts.stepModel = StepModel::Analytic;
-    analytic_opts.prefillChunkTokens = 0;
-    EXPECT_DEATH(
-        ServingEngine(cluster, model, trace, analytic_opts).run(),
-        "event-driven");
 }
 
 // --- Workload prefix stamping. -----------------------------------------

@@ -278,7 +278,6 @@ runPolicy(const ClusterConfig &cluster, const LlmConfig &model,
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = chunk;
     opts.sched = sched;
     return ServingEngine(cluster, model, timed, opts).run();

@@ -41,7 +41,6 @@ testEngineOptions()
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     return opts;
 }
@@ -123,19 +122,6 @@ TEST(Sessions, RejectedPredecessorKeepsSessionUnreleased)
     EXPECT_EQ(r.completedRequests, 0u);
     EXPECT_TRUE(r.completionSeconds.empty());
     EXPECT_EQ(r.firstTokenLatency.count(1), 0u);
-}
-
-TEST(Sessions, ClosedLoopRequiresEventDriven)
-{
-    auto model = testModel();
-    auto cluster = testCluster(model);
-    auto built = sessionWorkload(2, 2, 5);
-    auto opts = testEngineOptions();
-    opts.stepModel = StepModel::Analytic;
-    opts.prefillChunkTokens = 0;
-    ServingEngine engine(cluster, model, built.initial, opts);
-    EXPECT_DEATH(engine.declareSessionTurns(built.sessions),
-                 "event-driven");
 }
 
 // --- Determinism. ------------------------------------------------------

@@ -3,19 +3,25 @@
  * Tests for the event-driven serving core: the sim primitives
  * (event queue, devices — a submission without a callback costs no
  * event — and stage pipeline), the anchor contract that the
- * event-driven engine reproduces the analytic engine on PP=1 and
- * beats it on a heterogeneous PP>1 deployment, the cycle cap's
- * truncation flag, and the open-loop behaviors (late arrivals,
+ * event-driven engine reproduces a closed-form lockstep oracle on
+ * PP=1 and beats it on a heterogeneous PP>1 deployment, the cycle
+ * cap's truncation flag, and the open-loop behaviors (late arrivals,
  * preemption re-queue, latency percentile edge cases).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "alloc/kv_allocator.hh"
 #include "common/stats.hh"
+#include "common/units.hh"
+#include "mapping/parallel.hh"
 #include "sim/device.hh"
 #include "sim/event_queue.hh"
 #include "sim/pipeline.hh"
@@ -248,7 +254,6 @@ TEST(SmallFn, DecodePathIsCallbackAllocationFree)
         auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = 2048;
         opts.sched.kind = kind;
 
@@ -536,7 +541,6 @@ TEST(ChunkedPrefillEdge, ZeroContextRequestSkipsPrefill)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     auto r = ServingEngine(cluster, model, reqs, opts).run();
     EXPECT_EQ(r.completedRequests, 2u);
@@ -567,7 +571,122 @@ TEST(PipelineStage, XpuShadowTrailsPimTimeline)
     EXPECT_LE(stage.xpu()->busyUntil(), stage.busyUntil());
 }
 
-// --- Engine anchors: event-driven vs analytic. -----------------------
+// --- Engine anchors: event-driven vs the lockstep oracle. ------------
+
+/**
+ * Closed-form lockstep oracle for the event core, built from the
+ * public cost model: every step batches all admitted requests, splits
+ * them into planMicroBatches micro-batches and charges stageBeats x
+ * the slowest micro-batch's last-stage seconds; then each request
+ * emits one token (growing its KV, or requeueing at the back when
+ * memory runs out) and FIFO admission with full-trajectory headroom
+ * refills the batch. Closed loop: every request is there at time 0.
+ * Fills tokensPerSecond, generatedTokens, completedRequests,
+ * avgEffectiveBatch and macUtilization.
+ */
+EngineResult
+lockstepOracle(const ClusterConfig &cluster, const LlmConfig &model,
+               const std::vector<Request> &requests)
+{
+    PimModuleModel module(cluster.module);
+    XpuModel xpu(cluster.xpu);
+    auto alloc = makeAllocator(AllocatorKind::LazyChunk,
+                               cluster.usableKvBytes(model),
+                               model.kvBytesPerToken(), model.contextWindow);
+    const unsigned tp = cluster.plan.tp, pp = cluster.plan.pp;
+    const unsigned kvh = model.kvHeads();
+    const unsigned jobs_per_req = std::max(1u, ceilDiv(kvh, tp));
+    const unsigned seq_split = tp > kvh ? tp / kvh : 1;
+    const double layers_total = stageLayersTotal(model.nLayers, pp);
+    const unsigned last_layers = stageLayers(model.nLayers, pp, pp - 1);
+    const bool pim_only = cluster.kind == SystemKind::PimOnly;
+
+    std::deque<Request> pending(requests.begin(), requests.end());
+    std::vector<std::pair<Request, Tokens>> active; // (request, generated)
+    auto admit = [&] {
+        while (!pending.empty()) {
+            const Request &r = pending.front();
+            Bytes need = model.kvBytesPerToken() *
+                         (r.contextTokens + r.decodeTokens);
+            if (alloc->reservedBytes() + need > alloc->capacity() ||
+                !alloc->tryAdmit(r.id, r.contextTokens))
+                break;
+            active.push_back({r, 0});
+            pending.pop_front();
+        }
+    };
+
+    EngineResult out;
+    double t = 0.0, batch_time = 0.0, busy = 0.0, span = 0.0;
+    std::vector<AttentionJob> jobs;
+    for (admit(); !active.empty(); admit()) {
+        const auto batch = static_cast<std::uint32_t>(active.size());
+        MicroBatching mb = planMicroBatches(batch, pp);
+        double max_stage = 0.0, step_busy = 0.0;
+        for (std::uint32_t lo = 0; lo < batch; lo += mb.microBatchSize) {
+            std::uint32_t n = std::min(mb.microBatchSize, batch - lo);
+            jobs.clear();
+            for (std::uint32_t i = lo; i < lo + n; ++i) {
+                const Request &r = active[i].first;
+                Tokens ctx = r.contextTokens + active[i].second;
+                if (seq_split > 1)
+                    ctx = ceilDiv<Tokens>(ctx, seq_split);
+                for (unsigned h = 0; h < jobs_per_req; ++h)
+                    jobs.push_back({r.id, h, ctx});
+            }
+            PhaseResult att = module.attentionLayer(jobs, model);
+            PhaseResult fc;
+            if (pim_only) {
+                fc = module.fcLayer(n, model, tp);
+            } else {
+                double layer_params =
+                    static_cast<double>(model.paramCount()) / model.nLayers;
+                double flops = 2.0 * layer_params / tp *
+                               static_cast<double>(n);
+                Bytes w = static_cast<Bytes>(
+                    static_cast<double>(model.weightBytes()) /
+                    model.nLayers / tp);
+                fc.seconds = xpu.gemmSeconds(flops, w, n);
+            }
+            double sync = 2.0 * allReduceSeconds(
+                static_cast<Bytes>(n) * model.dModel * 2, tp,
+                cluster.linkBandwidth, cluster.linkAlpha);
+            double layer = pim_only
+                ? att.seconds + fc.seconds + sync
+                : std::max(att.seconds, fc.seconds) + sync;
+            max_stage = std::max(max_stage, last_layers * layer);
+            step_busy += (att.busyChannelCycles + fc.busyChannelCycles) *
+                         layers_total * tp;
+        }
+        double sec = mb.stageBeats * max_stage;
+        t += sec;
+        batch_time += sec * static_cast<double>(batch);
+        busy += step_busy;
+        span += sec / cluster.module.timing.secondsPerCycle() *
+                cluster.module.nChannels * cluster.nModules;
+        std::size_t keep = 0;
+        for (auto &a : active) {
+            const Request &r = a.first;
+            if (!alloc->grow(r.id, r.contextTokens + a.second + 1)) {
+                alloc->release(r.id);
+                pending.push_back(r);
+                continue;
+            }
+            ++out.generatedTokens;
+            if (++a.second >= r.decodeTokens) {
+                alloc->release(r.id);
+                ++out.completedRequests;
+                continue;
+            }
+            active[keep++] = a;
+        }
+        active.resize(keep);
+    }
+    out.tokensPerSecond = static_cast<double>(out.generatedTokens) / t;
+    out.avgEffectiveBatch = batch_time / t;
+    out.macUtilization = safeRatio(busy, span);
+    return out;
+}
 
 std::vector<Request>
 uniformRequests(std::size_t n, Tokens context, Tokens decode)
@@ -589,9 +708,7 @@ TEST(StepModels, AgreeOnPp1PimOnly)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    auto a = ServingEngine(cluster, model, reqs, opts).run();
-    opts.stepModel = StepModel::EventDriven;
+    auto a = lockstepOracle(cluster, model, reqs);
     auto e = ServingEngine(cluster, model, reqs, opts).run();
 
     ASSERT_GT(a.tokensPerSecond, 0.0);
@@ -612,9 +729,7 @@ TEST(StepModels, AgreeOnPp1XpuPim)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    auto a = ServingEngine(cluster, model, reqs, opts).run();
-    opts.stepModel = StepModel::EventDriven;
+    auto a = lockstepOracle(cluster, model, reqs);
     auto e = ServingEngine(cluster, model, reqs, opts).run();
 
     ASSERT_GT(a.tokensPerSecond, 0.0);
@@ -623,34 +738,30 @@ TEST(StepModels, AgreeOnPp1XpuPim)
 
 TEST(StepModels, CycleCapMarksTheRunTruncated)
 {
-    // A run stopped at maxSteps must say so under both step models;
-    // a run that finishes does not.
+    // A run stopped at maxSteps must say so; a run that finishes
+    // does not.
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
     applyOptions(cluster, PimphonyOptions::all());
     auto reqs = uniformRequests(4, 4000, 16);
 
-    for (StepModel step : {StepModel::Analytic, StepModel::EventDriven}) {
-        SCOPED_TRACE(static_cast<int>(step));
-        EngineOptions opts;
-        opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = step;
-        auto full = ServingEngine(cluster, model, reqs, opts).run();
-        EXPECT_FALSE(full.truncated);
-        EXPECT_EQ(full.completedRequests, 4u);
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    auto full = ServingEngine(cluster, model, reqs, opts).run();
+    EXPECT_FALSE(full.truncated);
+    EXPECT_EQ(full.completedRequests, 4u);
 
-        opts.maxSteps = 3;
-        auto capped = ServingEngine(cluster, model, reqs, opts).run();
-        EXPECT_TRUE(capped.truncated);
-        EXPECT_LT(capped.generatedTokens, full.generatedTokens);
-    }
+    opts.maxSteps = 3;
+    auto capped = ServingEngine(cluster, model, reqs, opts).run();
+    EXPECT_TRUE(capped.truncated);
+    EXPECT_LT(capped.generatedTokens, full.generatedTokens);
 }
 
-TEST(StepModels, EventDrivenBeatsAnalyticOnPp4Heterogeneous)
+TEST(StepModels, EventDrivenBeatsLockstepOnPp4Heterogeneous)
 {
     // PP=4 with memory turnover and bimodal context lengths: the
     // ready pool forms homogeneous cohorts of two, fewer cohorts
-    // than stages are in flight, and the analytic model pads every
+    // than stages are in flight, and the lockstep oracle pads every
     // stage beat to the slowest micro-batch while the event-driven
     // pipeline lets short-context cohorts cycle, retire, and pull
     // pending work at their own pace.
@@ -672,9 +783,7 @@ TEST(StepModels, EventDrivenBeatsAnalyticOnPp4Heterogeneous)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    auto a = ServingEngine(cluster, model, reqs, opts).run();
-    opts.stepModel = StepModel::EventDriven;
+    auto a = lockstepOracle(cluster, model, reqs);
     auto e = ServingEngine(cluster, model, reqs, opts).run();
 
     EXPECT_EQ(a.completedRequests, 32u);
@@ -696,7 +805,6 @@ TEST(OpenLoopEvent, IdlesUntilFirstArrival)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     auto r = ServingEngine(cluster, model, timed, opts).run();
     EXPECT_EQ(r.completedRequests, 2u);
     // The clock idles to the arrivals instead of starting at zero.
@@ -728,20 +836,16 @@ TEST(OpenLoopEvent, PreemptionRequeuesWithOriginalArrival)
     timed.push_back({{0, ctx, decode}, 0.0});
     timed.push_back({{1, ctx, decode}, 0.01});
 
-    for (StepModel sm : {StepModel::EventDriven, StepModel::Analytic}) {
-        EngineOptions opts;
-        opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = sm;
-        auto r = ServingEngine(cluster, model, timed, opts).run();
-        EXPECT_GE(r.preemptions, 1u) << stepModelName(sm);
-        EXPECT_EQ(r.completedRequests, 2u) << stepModelName(sm);
-        EXPECT_EQ(r.rejectedRequests, 0u) << stepModelName(sm);
-        // Nearest-rank p95 of two samples is the max latency: the
-        // preempted request restarts, finishes last, and its latency
-        // reaches back to its original arrival near time zero.
-        EXPECT_GE(r.p95RequestLatency, 0.9 * r.simulatedSeconds)
-            << stepModelName(sm);
-    }
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    auto r = ServingEngine(cluster, model, timed, opts).run();
+    EXPECT_GE(r.preemptions, 1u);
+    EXPECT_EQ(r.completedRequests, 2u);
+    EXPECT_EQ(r.rejectedRequests, 0u);
+    // Nearest-rank p95 of two samples is the max latency: the
+    // preempted request restarts, finishes last, and its latency
+    // reaches back to its original arrival near time zero.
+    EXPECT_GE(r.p95RequestLatency, 0.9 * r.simulatedSeconds);
 }
 
 TEST(LatencyPercentiles, NearestRankEdgeCases)

@@ -18,15 +18,14 @@
  *      bit-identical to a run without classes (the PR 4 goldens in
  *      tests/engine_determinism_test.cc pin the same property
  *      against the recorded history);
- *  (e) under budgets the analytic admission scan looks past
- *      requests that have not arrived yet, so a preempted request
- *      requeued behind them is admitted and its tenant's
- *      entitlement never strands an over-budget borrower.
+ *  (e) under budgets the admission scan looks past a budget-blocked
+ *      borrower, so a preempted request requeued behind it is
+ *      admitted and its tenant's entitlement never strands the
+ *      borrower.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "core/orchestrator.hh"
@@ -209,7 +208,6 @@ runEngine(const ClusterConfig &cluster, const LlmConfig &model,
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = chunk;
     opts.sched = sched;
     opts.tenantBudgets = budgets;
@@ -473,19 +471,18 @@ TEST(SloClassesEngine, IdleTenantShareIsBorrowable)
     EXPECT_DOUBLE_EQ(b.avgTokenShare, 0.0);
 }
 
-TEST(SloClassesEngine, BudgetScanReachesPreemptedRequestBehindFutureArrivals)
+TEST(SloClassesEngine, BudgetScanReachesPreemptedRequestBehindBorrower)
 {
-    // Analytic open loop, two tenants. Tenant 0's two decoders are
-    // admitted together but cannot both hold their full trajectory,
-    // so one is preempted and requeues at the back of the pending
-    // queue with its original arrival, behind two requests that
-    // arrive much later. Tenant 1's request waits at the front: it
-    // is over its own budget and fits only once tenant 0's survivor
-    // completes, which leaves nothing running. The preempted request
-    // is entitled, so tenant 1 may not borrow yet; the scan must
-    // reach the preempted request behind the future arrivals rather
-    // than stop at them, or nothing is admitted and the over-budget
-    // request would be dropped as unservable.
+    // Open loop, two tenants. Tenant 0's two decoders are admitted
+    // together but cannot both hold their full trajectory, so one is
+    // preempted and requeues at the back of the arrived queue with
+    // its original arrival. Tenant 1's request waits at the front:
+    // it is over its own budget and fits only once tenant 0's
+    // survivor completes, which leaves nothing running. The
+    // preempted request is entitled, so tenant 1 may not borrow yet;
+    // the scan must skip the blocked borrower and reach the preempted
+    // request, or nothing is admitted and the over-budget request
+    // would be dropped as unservable.
     auto model = LlmConfig::llm7b(true);
     const Tokens ctx = 1000, decode = 2000;
     auto cluster = ClusterConfig::centLike(model);
@@ -511,7 +508,6 @@ TEST(SloClassesEngine, BudgetScanReachesPreemptedRequestBehindFutureArrivals)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
     opts.tenantBudgets = {{0, 0.6}, {1, 0.4}};
     auto r = ServingEngine(cluster, model, timed, opts).run();
 
@@ -526,17 +522,6 @@ TEST(SloClassesEngine, BudgetScanReachesPreemptedRequestBehindFutureArrivals)
     // The borrower ran above its guarantee.
     EXPECT_GT(tenantRow(r, 1).peakTokenShare, 0.4);
     EXPECT_GT(r.budgetDeferrals, 0u);
-
-    // Without budgets the plain FIFO scan stops at the first future
-    // arrival, so the preempted request waits behind the whole rest
-    // of the trace.
-    opts.tenantBudgets.clear();
-    auto fifo = ServingEngine(cluster, model, timed, opts).run();
-    ASSERT_GE(fifo.preemptions, 1u);
-    EXPECT_EQ(fifo.completedRequests, 5u);
-    EXPECT_GT(std::max(fifo.completionSeconds.at(0),
-                       fifo.completionSeconds.at(1)),
-              late + 1.0);
 }
 
 // --- (d) Strict additivity of the subsystem. ----------------------------

@@ -151,9 +151,9 @@ TEST(Engine, RejectsImpossibleRequests)
     EXPECT_EQ(r.rejectedRequests, 1u);
 }
 
-// --- Rejection accounting: the three sites in engine.cc. ---------------
+// --- Rejection accounting: the two sites in engine.cc. -----------------
 
-TEST(Engine, RejectsRequestBeyondKvCapacityBothStepModels)
+TEST(Engine, RejectsRequestBeyondKvCapacity)
 {
     // Site 1, capacity arm: the full decode trajectory exceeds the
     // KV capacity of a deliberately tiny cluster while staying
@@ -167,14 +167,11 @@ TEST(Engine, RejectsRequestBeyondKvCapacityBothStepModels)
 
     std::vector<Request> requests = {{0, cap + 1000, 16},
                                      {1, 2000, 16}};
-    for (StepModel sm : {StepModel::Analytic, StepModel::EventDriven}) {
-        EngineOptions opts;
-        opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = sm;
-        auto r = ServingEngine(cluster, model, requests, opts).run();
-        EXPECT_EQ(r.rejectedRequests, 1u) << stepModelName(sm);
-        EXPECT_EQ(r.completedRequests, 1u) << stepModelName(sm);
-    }
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    auto r = ServingEngine(cluster, model, requests, opts).run();
+    EXPECT_EQ(r.rejectedRequests, 1u);
+    EXPECT_EQ(r.completedRequests, 1u);
 }
 
 /**
@@ -182,11 +179,10 @@ TEST(Engine, RejectsRequestBeyondKvCapacityBothStepModels)
  * sites: tenant 1 holds a large entitlement but its request exceeds
  * the context window (site 1), which leaves tenant 0's over-budget
  * request un-admittable — borrowing is denied while tenant 1 looks
- * entitled — with nothing running. The analytic loop's reject-front
- * arm and the event-driven cohort former's deadlock guard must then
- * reject it rather than spin.
+ * entitled — with nothing running. The cohort former's deadlock
+ * guard (site 2) must then reject it rather than spin.
  */
-TEST(Engine, RejectFrontAndDeadlockGuardFireWhenNothingAdmissible)
+TEST(Engine, DeadlockGuardFiresWhenNothingAdmissible)
 {
     auto model = LlmConfig::llm7b(false); // 32K context window
     auto cluster = ClusterConfig::centLike(model);
@@ -203,18 +199,14 @@ TEST(Engine, RejectFrontAndDeadlockGuardFireWhenNothingAdmissible)
         {Request(0, 2000, 16, starved), 0.0},
         {Request(1, 40000, 16, entitled), 0.0},
     };
-    for (StepModel sm : {StepModel::Analytic, StepModel::EventDriven}) {
-        EngineOptions opts;
-        opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = sm;
-        if (sm == StepModel::EventDriven)
-            opts.prefillChunkTokens = 2048;
-        opts.tenantBudgets = {{0, 0.001}, {1, 0.95}};
-        auto r = ServingEngine(cluster, model, timed, opts).run();
-        EXPECT_EQ(r.rejectedRequests, 2u) << stepModelName(sm);
-        EXPECT_EQ(r.completedRequests, 0u) << stepModelName(sm);
-        EXPECT_GT(r.budgetDeferrals, 0u) << stepModelName(sm);
-    }
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    opts.prefillChunkTokens = 2048;
+    opts.tenantBudgets = {{0, 0.001}, {1, 0.95}};
+    auto r = ServingEngine(cluster, model, timed, opts).run();
+    EXPECT_EQ(r.rejectedRequests, 2u);
+    EXPECT_EQ(r.completedRequests, 0u);
+    EXPECT_GT(r.budgetDeferrals, 0u);
 }
 
 TEST(Engine, TechniqueOrderingOnLongContext)
