@@ -413,12 +413,13 @@ BENCHMARK(BM_SchedulePingPong)->Arg(4096);
 void
 BM_KernelCacheHit(benchmark::State &state)
 {
-    KernelCache cache(AimTimingParams::aimxWithObuf(16));
+    const auto params = AimTimingParams::aimxWithObuf(16);
+    KernelStore store;
     auto req = KernelRequest::makeQkt(benchSpec(16384),
                                       SchedulerKind::Dcs);
-    cache.get(req); // warm
+    store.get(params, req); // warm
     for (auto _ : state) {
-        const auto &r = cache.get(req);
+        const auto &r = store.get(params, req);
         benchmark::DoNotOptimize(r.makespan);
     }
 }

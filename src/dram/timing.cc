@@ -32,4 +32,16 @@ AimTimingParams::illustrative()
     return p;
 }
 
+bool
+AimTimingParams::operator==(const AimTimingParams &o) const
+{
+    return clockGhz == o.clockGhz && tCcds == o.tCcds &&
+           tWrInp == o.tWrInp && tMac == o.tMac && tRdOut == o.tRdOut &&
+           tRcdRd == o.tRcdRd && tRp == o.tRp && tRefi == o.tRefi &&
+           tRfc == o.tRfc && banksPerChannel == o.banksPerChannel &&
+           gbufEntries == o.gbufEntries &&
+           outputEntries == o.outputEntries && tileBytes == o.tileBytes &&
+           rowBytesPerBank == o.rowBytesPerBank;
+}
+
 } // namespace pimphony

@@ -110,6 +110,9 @@ struct AimTimingParams
      * the 11-command GEMV schedules in exactly 34 cycles statically.
      */
     static AimTimingParams illustrative();
+
+    /** Every field equal. */
+    bool operator==(const AimTimingParams &o) const;
 };
 
 } // namespace pimphony

@@ -1,19 +1,21 @@
 /**
  * @file
  * Kernel-level simulation facade: generate a command stream for a
- * kernel descriptor, schedule it on a channel model, and cache the
+ * kernel descriptor, schedule it on a channel model, and store the
  * result.
  *
  * End-to-end serving simulations evaluate millions of kernel
  * instances whose latency depends only on (shape, mapping, scheduler,
- * channel geometry); the cache plus token bucketing keeps the system
+ * channel geometry); the kernel store plus token bucketing keep the system
  * simulator fast without changing any reported trend.
  */
 
 #ifndef PIMPHONY_KERNELS_KERNEL_SIM_HH
 #define PIMPHONY_KERNELS_KERNEL_SIM_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 
 #include "dram/timing.hh"
@@ -42,6 +44,9 @@ struct KernelRequest
                                  bool pingpong = false);
     static KernelRequest makeSv(AttentionSpec spec, SchedulerKind sched,
                                 bool pingpong = false);
+
+    /** Every descriptor field equal, the spec of the other kind too. */
+    bool operator==(const KernelRequest &o) const;
 };
 
 /** Generate + schedule a kernel (uncached). */
@@ -55,28 +60,63 @@ ScheduleResult simulateKernel(const KernelRequest &req,
 Tokens bucketTokens(Tokens t);
 
 /**
- * Memoizing kernel evaluator bound to one channel configuration.
+ * The process-wide kernel store: each (timing params, request) pair is
+ * simulated once per process and shared by every caller, so fleet
+ * replicas, sweep cells and repeated set-ups pay for a kernel shape
+ * once. Entries are keyed by value, never evicted, and never move, so
+ * returned references stay valid for the life of the process.
+ *
+ * Thread-safe. The mutex guards only the find/insert; the simulation
+ * runs outside it, once per entry, while concurrent requests for the
+ * same kernel wait for that one result. Kernel simulation is
+ * deterministic, so which thread runs it cannot change any value.
  */
-class KernelCache
+class KernelStore
 {
   public:
-    explicit KernelCache(const AimTimingParams &params) : params_(params) {}
+    /** The store every PimModuleModel in the process uses. */
+    static KernelStore &process();
 
-    /** Simulate (or recall) @p req; attention token counts should be
-     *  pre-bucketed by the caller for high hit rates. */
-    const ScheduleResult &get(const KernelRequest &req);
+    KernelStore() = default;
+    KernelStore(const KernelStore &) = delete;
+    KernelStore &operator=(const KernelStore &) = delete;
 
-    std::size_t entries() const { return cache_.size(); }
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    /** Simulate (or recall) @p req on a channel with @p params;
+     *  attention token counts should be pre-bucketed by the caller
+     *  for high hit rates. */
+    const ScheduleResult &get(const AimTimingParams &params,
+                              const KernelRequest &req);
 
-    const AimTimingParams &params() const { return params_; }
+    std::size_t entries() const;
+
+    /** Lookups that found their entry already inserted. */
+    std::uint64_t hits() const;
+
+    /** Kernels simulated; one per entry, however many threads ask. */
+    std::uint64_t misses() const;
 
   private:
-    std::uint64_t keyOf(const KernelRequest &req) const;
+    struct Key
+    {
+        AimTimingParams params;
+        KernelRequest req;
 
-    AimTimingParams params_;
-    std::unordered_map<std::uint64_t, ScheduleResult> cache_;
+        bool operator==(const Key &o) const;
+    };
+
+    struct Hash
+    {
+        std::size_t operator()(const Key &key) const;
+    };
+
+    struct Entry
+    {
+        std::once_flag simulated;
+        ScheduleResult result;
+    };
+
+    mutable std::mutex mu_; ///< guards store_, hits_ and misses_
+    std::unordered_map<Key, Entry, Hash> store_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

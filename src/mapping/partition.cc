@@ -41,8 +41,11 @@ assignHfp(const std::vector<AttentionJob> &jobs, unsigned n_channels,
     // length. This is precisely the imbalance TCP removes; a
     // load-aware assignment would require the dynamic addressing
     // that conventional PIM lacks (Sec. IV-A).
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        out[i % n_channels].push_back(jobs[i]);
+    std::size_t slot = 0;
+    for (const AttentionJob &job : jobs)
+        for (std::uint32_t k = 0; k < job.count; ++k, ++slot)
+            out[slot % n_channels].push_back(
+                {job.request, job.kvHead + k, job.tokens, 1});
 }
 
 Tokens

@@ -3,10 +3,9 @@
  * Intra-module workload partitioning (Sec. IV).
  *
  * HFP (head/batch-first, prior work): each (request, KV-head)
- * attention job runs wholly on one channel; channels are filled
- * round-robin by cumulative load. Long contexts leave channels idle
- * whenever there are fewer jobs than channels or the jobs are
- * unequal.
+ * attention scan runs wholly on one channel; channels are filled
+ * round-robin by index. Long contexts leave channels idle whenever
+ * there are fewer scans than channels or the scans are unequal.
  *
  * TCP (token-centric, PIMphony): the token axis of every job is
  * sliced across all channels of the module, so every channel works on
@@ -34,18 +33,27 @@ enum class Partitioning {
 
 std::string partitioningName(Partitioning p);
 
-/** One attention job: the KV scan of one (request, KV-head) pair. */
+/**
+ * One attention job: @p count identical KV scans of one request, each
+ * over @p tokens (the KV heads kvHead .. kvHead + count - 1). The cost
+ * model charges a job as @p count copies of one (request, KV-head)
+ * scan; that is exact because every per-scan term is an integer-valued
+ * double (see PimModuleModel::attentionLayer).
+ */
 struct AttentionJob
 {
     RequestId request = 0;
     std::uint32_t kvHead = 0;
     Tokens tokens = 0;
+    std::uint32_t count = 1;
 };
 
 /**
- * HFP assignment: jobs to channels, longest-processing-time-first
- * (greedy makespan heuristic, what a reasonable head-first runtime
- * does).
+ * HFP assignment: (request, KV-head) scans to channels by index
+ * round-robin, blind to their lengths (scan i goes to channel
+ * i % n_channels). A job stands for @p count consecutive scans, so it
+ * fills @p count consecutive slots, one single-head job each; the
+ * placement is the one a per-head job list gets.
  *
  * @return per-channel job lists, size @p n_channels.
  */

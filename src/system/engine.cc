@@ -543,15 +543,16 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
     // partial reduction folds into the EPU path.
     const unsigned seq_split = tp > kvh ? tp / kvh : 1;
 
+    // One job per request stands for its jobs_per_req identical
+    // KV-head scans; the module charges it count-weighted.
     std::vector<AttentionJob> &jobs = jobsScratch_;
     jobs.clear();
-    jobs.reserve(batch * jobs_per_req);
+    jobs.reserve(batch);
     for (const Active *it = begin; it != end; ++it) {
         const Active &a = *it;
         Tokens t = a.request.contextTokens + a.generated;
         Tokens t_mod = seq_split > 1 ? ceilDiv<Tokens>(t, seq_split) : t;
-        for (unsigned h = 0; h < jobs_per_req; ++h)
-            jobs.push_back({a.request.id, h, t_mod});
+        jobs.push_back({a.request.id, 0, t_mod, jobs_per_req});
     }
 
     PhaseResult att = module_->attentionLayer(jobs, model_);

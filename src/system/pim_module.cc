@@ -19,8 +19,7 @@ PimModuleConfig::internalBandwidth() const
 
 PimModuleModel::PimModuleModel(const PimModuleConfig &config,
                                const EnergyParams &energy)
-    : config_(config), energyParams_(energy), cache_(config.timing),
-      epu_()
+    : config_(config), energyParams_(energy), epu_()
 {
     if (config_.nChannels == 0)
         fatal("PIM module needs at least one channel");
@@ -38,7 +37,7 @@ PimModuleModel::attentionKernel(KernelKind kind, Tokens tokens,
     KernelRequest req = kind == KernelKind::Qkt
         ? KernelRequest::makeQkt(spec, config_.scheduler)
         : KernelRequest::makeSv(spec, config_.scheduler);
-    return cache_.get(req);
+    return KernelStore::process().get(config_.timing, req);
 }
 
 const PimModuleModel::AttnJobCost &
@@ -46,7 +45,7 @@ PimModuleModel::attentionJobCost(Tokens bucketed, const LlmConfig &model)
 {
     // One serving run reuses one model; a geometry change (different
     // LlmConfig against the same module model) drops the memo. The
-    // kernel cache itself keys on the full descriptor and is
+    // kernel store itself keys on the full descriptor and is
     // unaffected.
     if (attnMemoHeadDim_ != model.headDim ||
         attnMemoGqa_ != model.gqaGroup) {
@@ -63,10 +62,16 @@ PimModuleModel::attentionJobCost(Tokens bucketed, const LlmConfig &model)
     cost.sv = &attentionKernel(KernelKind::Sv, bucketed, model);
     cost.qktEnergy = kernelEnergy(*cost.qkt, energyParams_);
     cost.svEnergy = kernelEnergy(*cost.sv, energyParams_);
-    cost.qktEnergyCh = cost.qktEnergy.scaled(config_.nChannels);
-    cost.svEnergyCh = cost.svEnergy.scaled(config_.nChannels);
-    // Kernel-cache values live in node-based storage, so the
-    // ScheduleResult pointers stay valid across rehashes.
+    const unsigned n_ch = config_.nChannels;
+    cost.kernelCycles = static_cast<double>(cost.qkt->makespan) +
+                        static_cast<double>(cost.sv->makespan);
+    cost.busyCh = static_cast<double>(cost.qkt->macBusyCycles +
+                                      cost.sv->macBusyCycles) *
+                  n_ch;
+    cost.energyCh = cost.qktEnergy.scaled(n_ch);
+    cost.energyCh += cost.svEnergy.scaled(n_ch);
+    // Kernel-store entries never move, so the ScheduleResult pointers
+    // stay valid for the life of the process.
     return attnMemo_.emplace(bucketed, cost).first->second;
 }
 
@@ -90,11 +95,10 @@ PimModuleModel::attentionLayer(const std::vector<AttentionJob> &jobs,
         // negligible).
         double kernel_cycles = 0.0;
         double epu_cycles = 0.0;
-        // A batch expands each request into gqa-group jobs with the
-        // same token count, so consecutive jobs usually repeat: a
-        // last-value cache turns the per-job memo probe + EPU
-        // formula into a comparison (accumulation stays per-job so
-        // the sums round exactly as before).
+        // Cohort members often share a bucket, so consecutive jobs
+        // repeat: a last-value cache turns the memo probe + EPU
+        // formula into a comparison. Each job adds count x its terms,
+        // exact because the terms are integer-valued (see the header).
         const Cycle reduce = epu_.reduceCycles(
             n_ch,
             static_cast<std::uint64_t>(model.headDim) * model.gqaGroup);
@@ -110,15 +114,11 @@ PimModuleModel::attentionLayer(const std::vector<AttentionJob> &jobs,
                     reduce);
                 last_tokens = job.tokens;
             }
-            kernel_cycles += static_cast<double>(c->qkt->makespan) +
-                             static_cast<double>(c->sv->makespan);
-            epu_cycles += epu_cached;
-            out.busyChannelCycles +=
-                static_cast<double>(c->qkt->macBusyCycles +
-                                    c->sv->macBusyCycles) *
-                n_ch;
-            out.energy += c->qktEnergyCh;
-            out.energy += c->svEnergyCh;
+            const double n = job.count;
+            kernel_cycles += n * c->kernelCycles;
+            epu_cycles += n * epu_cached;
+            out.busyChannelCycles += n * c->busyCh;
+            out.energy += c->energyCh.scaled(n);
         }
         double total_cycles = std::max(kernel_cycles, epu_cycles);
         out.seconds = total_cycles * spc;
@@ -209,7 +209,8 @@ PimModuleModel::fcLayer(std::uint32_t batch, const LlmConfig &model,
             std::uint64_t dout_ch =
                 std::max<std::uint64_t>(16, op.dout / shard);
             GemvSpec spec = GemvSpec::fromDims(dout_ch, op.din);
-            const auto &r = cache_.get(
+            const auto &r = KernelStore::process().get(
+                config_.timing,
                 KernelRequest::makeGemv(spec, config_.scheduler));
             fcMemo_.cyclesPerRequest += static_cast<double>(r.makespan);
             fcMemo_.busyPerRequest +=

@@ -66,7 +66,18 @@ class PimModuleModel
 
     /**
      * One decoder layer's attention for @p jobs (each job = the KV
-     * scan of one (request, KV-head) with the model's GQA group).
+     * scans of one request's job.count KV heads with the model's GQA
+     * group).
+     *
+     * A job with count c costs exactly what c single-head jobs cost:
+     * under TCP each per-scan term is added c times as one product,
+     * and HFP expands the job in assignHfp. The product equals the
+     * repeated sum because every term (kernel makespans, MAC-busy and
+     * EPU cycles, kernel energies) is an integer-valued double and
+     * every per-layer sum stays far below 2^53. The energies are
+     * integral only for integer-valued EnergyParams, like the
+     * defaults; a fractional parameter would make the count-weighted
+     * sums round differently, by up to 1 ulp per operation.
      */
     PhaseResult attentionLayer(const std::vector<AttentionJob> &jobs,
                                const LlmConfig &model);
@@ -80,7 +91,6 @@ class PimModuleModel
                         unsigned tp);
 
     const PimModuleConfig &config() const { return config_; }
-    KernelCache &cache() { return cache_; }
 
   private:
     /** Channel-level result of one attention job at @p tokens. */
@@ -88,24 +98,24 @@ class PimModuleModel
                                           const LlmConfig &model);
 
     /**
-     * Memoized per-job attention contribution at one bucketed token
+     * Memoized per-scan attention contribution at one bucketed token
      * count: the QK^T/SV schedules plus their per-channel kernel
-     * energies (and the nChannels-scaled copies the TCP path adds).
-     * The serving engine resolves every (request, head) job of every
-     * decode cycle through this table, turning the per-job cost into
-     * one hash probe instead of two kernel-cache lookups plus two
-     * energy recomputations. Values are pure functions of the
-     * cached schedules, so the memo changes nothing bit-wise; it is
-     * invalidated when a different model's head geometry shows up.
+     * energies and the sums the TCP path adds. The serving engine
+     * resolves every job of every decode cycle through this table,
+     * turning the per-job cost into one hash probe instead of two
+     * kernel-store lookups plus two energy recomputations. Values are
+     * pure functions of the stored schedules, so the memo changes
+     * nothing bit-wise.
      */
     struct AttnJobCost
     {
         const ScheduleResult *qkt = nullptr;
         const ScheduleResult *sv = nullptr;
-        EnergyBreakdown qktEnergy;   ///< kernelEnergy(qkt)
-        EnergyBreakdown svEnergy;    ///< kernelEnergy(sv)
-        EnergyBreakdown qktEnergyCh; ///< kernelEnergy(qkt).scaled(nCh)
-        EnergyBreakdown svEnergyCh;  ///< kernelEnergy(sv).scaled(nCh)
+        EnergyBreakdown qktEnergy; ///< kernelEnergy(qkt)
+        EnergyBreakdown svEnergy;  ///< kernelEnergy(sv)
+        double kernelCycles = 0.0; ///< qkt + sv makespans
+        double busyCh = 0.0;       ///< qkt + sv MAC-busy x nChannels
+        EnergyBreakdown energyCh;  ///< (qktEnergy + svEnergy) x nChannels
     };
 
     /** Memo lookup for @p bucketed tokens (bucketTokens applied). */
@@ -114,9 +124,13 @@ class PimModuleModel
 
     PimModuleConfig config_;
     EnergyParams energyParams_;
-    KernelCache cache_;
     EpuModel epu_;
 
+    /**
+     * Keyed by bucketed token count; cleared when a different model's
+     * head geometry shows up. The schedules live in the process-wide
+     * KernelStore, which never moves or drops an entry.
+     */
     std::unordered_map<Tokens, AttnJobCost> attnMemo_;
     unsigned attnMemoHeadDim_ = 0;
     unsigned attnMemoGqa_ = 0;

@@ -2,11 +2,14 @@
  * @file
  * Kernel generator tests: structural validity of GEMV / QK^T / SV
  * streams across geometry sweeps, command-count accounting, reuse
- * behaviour, mapping effects on row activations, and the kernel
- * cache.
+ * behaviour, mapping effects on row activations, token bucketing,
+ * and the kernel store's keys.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <vector>
 
 #include "common/units.hh"
 #include "kernels/attention.hh"
@@ -292,35 +295,148 @@ TEST(BucketTokens, MonotoneAndBounded)
     }
 }
 
-TEST(KernelCache, HitsOnRepeatedRequests)
+TEST(KernelStore, HitsOnRepeatedRequests)
 {
     auto params = pimphonyParams();
-    KernelCache cache(params);
+    KernelStore store;
     AttentionSpec spec;
     spec.tokens = 2048;
     spec.headDim = 128;
     spec.gqaGroup = 2;
     auto req = KernelRequest::makeQkt(spec, SchedulerKind::Dcs);
-    const auto &a = cache.get(req);
-    const auto &b = cache.get(req);
+    const auto &a = store.get(params, req);
+    const auto &b = store.get(params, req);
     EXPECT_EQ(&a, &b);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.hits(), 1u);
     EXPECT_GT(a.makespan, 0u);
 }
 
-TEST(KernelCache, DistinguishesSchedulers)
+TEST(KernelStore, DistinguishesSchedulers)
 {
     auto params = pimphonyParams();
-    KernelCache cache(params);
+    KernelStore store;
     AttentionSpec spec;
     spec.tokens = 2048;
     spec.headDim = 128;
-    auto st = cache.get(KernelRequest::makeQkt(spec,
-                                               SchedulerKind::Static));
-    auto dc = cache.get(KernelRequest::makeQkt(spec, SchedulerKind::Dcs));
+    auto st = store.get(params, KernelRequest::makeQkt(
+                                    spec, SchedulerKind::Static));
+    auto dc = store.get(params,
+                        KernelRequest::makeQkt(spec, SchedulerKind::Dcs));
     EXPECT_NE(st.makespan, dc.makespan);
-    EXPECT_EQ(cache.entries(), 2u);
+    EXPECT_EQ(store.entries(), 2u);
+}
+
+/**
+ * One fully populated descriptor per kernel kind plus, for each, one
+ * variant per other field: every two of them differ in at least one
+ * field, so no two may share a store entry.
+ */
+std::vector<KernelRequest>
+descriptorVariants()
+{
+    KernelRequest base;
+    base.att.tokens = 256;
+    base.att.headDim = 64;
+    base.att.gqaGroup = 2;
+    base.att.rowReuse = true;
+    base.gemv = GemvSpec::fromDims(256, 256);
+    base.scheduler = SchedulerKind::Dcs;
+
+    std::vector<std::function<void(KernelRequest &)>> edits = {
+        [](KernelRequest &) {},
+        [](KernelRequest &r) { r.scheduler = SchedulerKind::Static; },
+        [](KernelRequest &r) { r.pingpong = true; },
+        [](KernelRequest &r) { r.att.tokens += 64; },
+        [](KernelRequest &r) { r.att.headDim = 128; },
+        [](KernelRequest &r) { r.att.gqaGroup = 4; },
+        [](KernelRequest &r) { r.att.rowReuse = false; },
+        [](KernelRequest &r) { r.gemv.doutGroups += 1; },
+        [](KernelRequest &r) { r.gemv.dinTiles += 1; },
+    };
+    std::vector<KernelRequest> out;
+    for (KernelKind kind : {KernelKind::Qkt, KernelKind::Sv,
+                            KernelKind::Gemv})
+        for (const auto &edit : edits) {
+            KernelRequest r = base;
+            r.kind = kind;
+            edit(r);
+            out.push_back(r);
+        }
+    for (std::size_t i = 0; i < out.size(); ++i)
+        for (std::size_t j = i + 1; j < out.size(); ++j)
+            EXPECT_FALSE(out[i] == out[j]) << i << " vs " << j;
+    return out;
+}
+
+TEST(KernelStore, KeysOnTheFullDescriptor)
+{
+    const AimTimingParams params = pimphonyParams();
+    KernelStore store;
+    const auto variants = descriptorVariants();
+    std::vector<const ScheduleResult *> seen;
+    for (const auto &req : variants)
+        seen.push_back(&store.get(params, req));
+    EXPECT_EQ(store.entries(), variants.size());
+    EXPECT_EQ(store.misses(), variants.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(&store.get(params, variants[i]), seen[i]);
+        for (std::size_t j = i + 1; j < seen.size(); ++j)
+            EXPECT_NE(seen[i], seen[j]);
+    }
+    EXPECT_EQ(store.hits(), variants.size());
+}
+
+TEST(KernelStore, KeysOnTheDescriptorAndTimingParams)
+{
+    KernelStore store;
+    const auto variants = descriptorVariants();
+    const AimTimingParams base = pimphonyParams();
+    std::vector<AimTimingParams> timings = {base};
+    std::vector<std::function<void(AimTimingParams &)>> edits = {
+        [](AimTimingParams &p) { p.clockGhz = 1.25; },
+        [](AimTimingParams &p) { p.tCcds += 1; },
+        [](AimTimingParams &p) { p.tWrInp += 1; },
+        [](AimTimingParams &p) { p.tMac += 1; },
+        [](AimTimingParams &p) { p.tRdOut += 1; },
+        [](AimTimingParams &p) { p.tRcdRd += 1; },
+        [](AimTimingParams &p) { p.tRp += 1; },
+        [](AimTimingParams &p) { p.tRefi += 1; },
+        [](AimTimingParams &p) { p.tRfc += 1; },
+        [](AimTimingParams &p) { p.banksPerChannel = 8; },
+        [](AimTimingParams &p) { p.gbufEntries = 32; },
+        [](AimTimingParams &p) { p.outputEntries = 8; },
+        [](AimTimingParams &p) { p.tileBytes = 64; },
+        [](AimTimingParams &p) { p.rowBytesPerBank = 4096; },
+    };
+    for (const auto &edit : edits) {
+        AimTimingParams p = base;
+        edit(p);
+        EXPECT_FALSE(p == base);
+        timings.push_back(p);
+    }
+
+    std::vector<const ScheduleResult *> seen;
+    for (const auto &req : variants)
+        seen.push_back(&store.get(base, req));
+    // Every timing variant of one descriptor is its own kernel too.
+    for (std::size_t i = 1; i < timings.size(); ++i)
+        seen.push_back(&store.get(timings[i], variants[0]));
+    const std::size_t n = variants.size() + timings.size() - 1;
+    EXPECT_EQ(store.entries(), n);
+    EXPECT_EQ(store.misses(), n);
+    EXPECT_EQ(store.hits(), 0u);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        for (std::size_t j = i + 1; j < seen.size(); ++j)
+            EXPECT_NE(seen[i], seen[j]);
+
+    // A repeat finds its entry, and the entry holds what a direct
+    // simulation produces.
+    EXPECT_EQ(&store.get(base, variants[0]), seen[0]);
+    EXPECT_EQ(store.hits(), 1u);
+    ScheduleResult direct = simulateKernel(variants[0], base);
+    EXPECT_EQ(seen[0]->makespan, direct.makespan);
+    EXPECT_EQ(seen[0]->macCount, direct.macCount);
 }
 
 } // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "common/units.hh"
 #include "system/engine.hh"
 #include "system/gpu_system.hh"
 #include "workload/trace.hh"
@@ -89,6 +93,166 @@ TEST(Module, FcLayerScalesWithBatch)
     auto b1 = m.fcLayer(1, model, 8);
     auto b4 = m.fcLayer(4, model, 8);
     EXPECT_NEAR(b4.seconds, 4.0 * b1.seconds, b1.seconds * 0.01);
+}
+
+// --- Count-weighted attention jobs ------------------------------------
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/** Field-by-field bit equality, printed in hex on failure. */
+void
+expectSamePhaseBits(const PhaseResult &a, const PhaseResult &b,
+                    const std::string &where)
+{
+    auto same = [&where](const char *field, double x, double y) {
+        EXPECT_EQ(bitsOf(x), bitsOf(y))
+            << where << " " << field << ": " << std::hexfloat << x
+            << " vs " << y;
+    };
+    same("seconds", a.seconds, b.seconds);
+    same("busyChannelCycles", a.busyChannelCycles, b.busyChannelCycles);
+    same("spanChannelCycles", a.spanChannelCycles, b.spanChannelCycles);
+    same("energy.mac", a.energy.mac, b.energy.mac);
+    same("energy.io", a.energy.io, b.energy.io);
+    same("energy.background", a.energy.background, b.energy.background);
+    same("energy.actPre", a.energy.actPre, b.energy.actPre);
+    same("energy.refreshE", a.energy.refreshE, b.energy.refreshE);
+    same("energy.elseE", a.energy.elseE, b.energy.elseE);
+}
+
+struct CostCase
+{
+    std::string name;
+    ClusterConfig cluster;
+    LlmConfig model;
+};
+
+/**
+ * PIM-only and xPU+PIM clusters at plans that give 8, 4 and 1 KV-head
+ * jobs per request; the last (LLM-72B-GQA on 16 modules at PP = 1,
+ * TP 16 > 8 KV heads) splits each head's tokens across two modules.
+ */
+std::vector<CostCase>
+costCases()
+{
+    auto m7 = LlmConfig::llm7b(true);
+    auto m72 = LlmConfig::llm72b(true);
+    std::vector<CostCase> out;
+    auto add = [&out](std::string name, ClusterConfig c, LlmConfig m,
+                      ParallelPlan plan) {
+        c.plan = plan;
+        out.push_back({std::move(name), c, m});
+    };
+    add("pim-only 7B tp1", ClusterConfig::centLike(m7), m7, {1, 8});
+    add("pim-only 7B tp2", ClusterConfig::centLike(m7), m7, {2, 4});
+    add("xpu+pim 7B tp1", ClusterConfig::neupimsLike(m7), m7, {1, 4});
+    add("xpu+pim 72B tp16", ClusterConfig::neupimsLike(m72), m72, {16, 1});
+    return out;
+}
+
+TEST(Module, CountWeightedJobsMatchPerHeadExpansion)
+{
+    // Contexts across ten octaves, with repeats (the last-value cache)
+    // and off-bucket neighbours.
+    const std::vector<Tokens> contexts = {150,   1000,  1000,  3000,
+                                          9000,  9000,  9001,  33000,
+                                          70000, 131000, 64,   520};
+    const std::vector<std::vector<Tokens>> cohorts = {
+        contexts, {contexts.begin(), contexts.begin() + 1},
+        {contexts.begin() + 4, contexts.begin() + 8}};
+    for (const CostCase &cc : costCases())
+        for (bool tcp : {true, false}) {
+            ClusterConfig cluster = cc.cluster;
+            applyOptions(cluster, tcp ? PimphonyOptions::all()
+                                      : PimphonyOptions::baseline());
+            // The engine's job shape (planCohortCycle).
+            const unsigned tp = cluster.plan.tp;
+            const unsigned kvh = cc.model.kvHeads();
+            const unsigned per_req = std::max(1u, ceilDiv(kvh, tp));
+            const unsigned split = tp > kvh ? tp / kvh : 1;
+            PimModuleModel weighted(cluster.module);
+            PimModuleModel expanded(cluster.module);
+            for (const auto &cohort : cohorts) {
+                std::vector<AttentionJob> counted, heads;
+                RequestId id = 0;
+                for (Tokens t : cohort) {
+                    Tokens tm = ceilDiv<Tokens>(t, split);
+                    counted.push_back({id, 0, tm, per_req});
+                    for (unsigned h = 0; h < per_req; ++h)
+                        heads.push_back({id, h, tm});
+                    ++id;
+                }
+                expectSamePhaseBits(
+                    weighted.attentionLayer(counted, cc.model),
+                    expanded.attentionLayer(heads, cc.model),
+                    cc.name + (tcp ? " tcp" : " hfp") + " cohort of " +
+                        std::to_string(cohort.size()));
+            }
+        }
+}
+
+// Count-weighted jobs multiply each per-scan kernel energy by the
+// head count where a per-head job list adds it that many times. The
+// two agree bit for bit only because every memoized kernel energy is
+// an integer-valued double under the default EnergyParams (integer
+// pJ per command times integer command counts). A fractional
+// parameter, say 350.5 pJ per MAC, would make the products round
+// differently from the sums: the engine's attention energies, and
+// with them the EngineGolden and FleetGolden energy pins, would
+// drift by ulps, and CountWeightedJobsMatchPerHeadExpansion would
+// fail.
+TEST(Module, DefaultKernelEnergiesAreIntegral)
+{
+    const EnergyParams defaults;
+    for (PicoJoules p : {defaults.macPerCommand, defaults.ioPerCommand,
+                         defaults.actPrePair, defaults.refresh,
+                         defaults.backgroundPerCycle, defaults.elsePerMac})
+        EXPECT_EQ(p, std::floor(p));
+
+    auto integral = [](const EnergyBreakdown &e) {
+        for (PicoJoules x :
+             {e.mac, e.io, e.background, e.actPre, e.refreshE, e.elseE})
+            if (x != std::floor(x) || x >= 0x1p53)
+                return false;
+        return true;
+    };
+    // The attention memo's buckets for these head geometries, both
+    // mappings: every bucket to 8K tokens, then each octave's top
+    // bucket up to the 128K context window that HFP jobs reach (the
+    // large kernels take seconds to simulate in a Debug build).
+    for (const LlmConfig &model :
+         {LlmConfig::llm7b(true), LlmConfig::llm72b(true),
+          LlmConfig::llm7b(false)})
+        for (bool dcs : {true, false}) {
+            ClusterConfig cluster = ClusterConfig::neupimsLike(model);
+            applyOptions(cluster, dcs ? PimphonyOptions::all()
+                                      : PimphonyOptions::baseline());
+            const PimModuleConfig &mod = cluster.module;
+            for (Tokens b = 64; b <= model.contextWindow;
+                 b = b < 8192 ? bucketTokens(b + 1) : 2 * b) {
+                AttentionSpec spec;
+                spec.tokens = b;
+                spec.headDim = model.headDim;
+                spec.gqaGroup = model.gqaGroup;
+                spec.rowReuse = mod.rowReuse();
+                for (const KernelRequest &req :
+                     {KernelRequest::makeQkt(spec, mod.scheduler),
+                      KernelRequest::makeSv(spec, mod.scheduler)}) {
+                    EnergyBreakdown e = kernelEnergy(
+                        KernelStore::process().get(mod.timing, req),
+                        defaults);
+                    ASSERT_TRUE(integral(e)) << model.name << " " << b;
+                    ASSERT_TRUE(integral(e.scaled(mod.nChannels)))
+                        << model.name << " " << b;
+                }
+            }
+        }
 }
 
 TEST(Cluster, PresetsMatchEvaluationSection)
