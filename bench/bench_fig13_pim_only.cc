@@ -16,7 +16,7 @@ namespace {
 void
 grid(const char *title, const std::vector<LlmConfig> &models,
      const std::vector<TraceTask> &tasks, bench::JsonRows *json,
-     const bench::BenchArgs &args)
+     const bench::BenchArgs &args, bench::TruncatedRuns &truncated)
 {
     printBanner(std::cout, title);
     bench::MirroredTable t(
@@ -61,6 +61,9 @@ grid(const char *title, const std::vector<LlmConfig> &models,
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const auto &r = outs[i].value;
+        truncated.note(c.model.name + " " + traceTaskName(c.task) + " " +
+                           c.opt.label(),
+                       r.engine);
         if (c.groupStart)
             base = r.engine.tokensPerSecond;
         t.addRow({c.model.name, traceTaskName(c.task), c.opt.label(),
@@ -81,6 +84,7 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 13: PIM-only throughput, cumulative techniques");
     bench::JsonRows json("bench_fig13_pim_only");
+    bench::TruncatedRuns truncated;
     grid("Fig. 13(a): PIM-only, non-GQA LLMs on LongBench "
          "(paper: 2.1-4.5x)",
          args.smoke
@@ -91,7 +95,7 @@ main(int argc, char **argv)
              ? std::vector<TraceTask>{TraceTask::QMSum}
              : std::vector<TraceTask>{TraceTask::QMSum,
                                       TraceTask::Musique},
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     grid("Fig. 13(b): PIM-only, GQA LLMs on LV-Eval "
          "(paper: up to 11.3x)",
          args.smoke
@@ -102,7 +106,7 @@ main(int argc, char **argv)
              ? std::vector<TraceTask>{TraceTask::MultifieldQa}
              : std::vector<TraceTask>{TraceTask::MultifieldQa,
                                       TraceTask::LoogleSd},
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

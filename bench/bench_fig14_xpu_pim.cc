@@ -14,7 +14,7 @@ namespace {
 void
 grid(const char *title, const std::vector<LlmConfig> &models,
      const std::vector<TraceTask> &tasks, bench::JsonRows *json,
-     const bench::BenchArgs &args)
+     const bench::BenchArgs &args, bench::TruncatedRuns &truncated)
 {
     printBanner(std::cout, title);
     bench::MirroredTable t(
@@ -59,6 +59,9 @@ grid(const char *title, const std::vector<LlmConfig> &models,
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const auto &r = outs[i].value;
+        truncated.note(c.model.name + " " + traceTaskName(c.task) + " " +
+                           c.opt.label(),
+                       r.engine);
         if (c.groupStart)
             base = r.engine.tokensPerSecond;
         t.addRow({c.model.name, traceTaskName(c.task), c.opt.label(),
@@ -79,6 +82,7 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 14: xPU+PIM throughput, cumulative techniques");
     bench::JsonRows json("bench_fig14_xpu_pim");
+    bench::TruncatedRuns truncated;
     grid("Fig. 14(a): xPU+PIM, non-GQA LLMs on LongBench",
          args.smoke
              ? std::vector<LlmConfig>{LlmConfig::llm7b(false)}
@@ -88,7 +92,7 @@ main(int argc, char **argv)
              ? std::vector<TraceTask>{TraceTask::QMSum}
              : std::vector<TraceTask>{TraceTask::QMSum,
                                       TraceTask::Musique},
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     grid("Fig. 14(b): xPU+PIM, GQA LLMs on LV-Eval "
          "(paper: up to 8.4x)",
          args.smoke
@@ -99,7 +103,7 @@ main(int argc, char **argv)
              ? std::vector<TraceTask>{TraceTask::MultifieldQa}
              : std::vector<TraceTask>{TraceTask::MultifieldQa,
                                       TraceTask::LoogleSd},
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

@@ -14,7 +14,8 @@ namespace {
 
 void
 sweep(const char *title, const LlmConfig &model, TraceTask task,
-      bench::JsonRows *json, const bench::BenchArgs &args)
+      bench::JsonRows *json, const bench::BenchArgs &args,
+      bench::TruncatedRuns &truncated)
 {
     printBanner(std::cout, title);
     OrchestratorConfig probe;
@@ -43,15 +44,18 @@ sweep(const char *title, const LlmConfig &model, TraceTask task,
             cfg.nRequests = 24;
             cfg.decodeTokens = 32;
             PimphonyOrchestrator orch(cfg);
-            return orch.evaluate(task).engine.tokensPerSecond;
+            return orch.evaluate(task).engine;
         });
 
     for (std::size_t o = 0; o < opts.size(); ++o) {
         std::vector<std::string> row = {opts[o].label()};
         double row_wall = 0.0;
         for (std::size_t p = 0; p < n_plans; ++p) {
-            row.push_back(
-                TablePrinter::fmt(outs[o * n_plans + p].value, 1));
+            const EngineResult &r = outs[o * n_plans + p].value;
+            truncated.note(std::string(title) + " " + opts[o].label() +
+                               " " + plans[p].toString(),
+                           r);
+            row.push_back(TablePrinter::fmt(r.tokensPerSecond, 1));
             row_wall += outs[o * n_plans + p].wallSeconds;
         }
         t.addRow(row, args.threads, row_wall);
@@ -68,13 +72,14 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 15: throughput across fixed (TP,PP) plans");
     bench::JsonRows json("bench_fig15_tp_pp");
+    bench::TruncatedRuns truncated;
     sweep("Fig. 15(a): LLM-7B-32K on QMSum, tokens/s across (TP,PP)",
           LlmConfig::llm7b(false), TraceTask::QMSum,
-          args.json ? &json : nullptr, args);
+          args.json ? &json : nullptr, args, truncated);
     sweep("Fig. 15(b): LLM-7B-128K-GQA on multifieldqa, tokens/s "
           "across (TP,PP)",
           LlmConfig::llm7b(true), TraceTask::MultifieldQa,
-          args.json ? &json : nullptr, args);
+          args.json ? &json : nullptr, args, truncated);
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

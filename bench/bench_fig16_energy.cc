@@ -16,7 +16,8 @@ namespace {
 
 void
 energyCase(const char *title, const LlmConfig &model, TraceTask task,
-           bench::JsonRows *json, const bench::BenchArgs &args)
+           bench::JsonRows *json, const bench::BenchArgs &args,
+           bench::TruncatedRuns &truncated)
 {
     printBanner(std::cout, title);
     TraceGenerator gen(task, 33);
@@ -46,6 +47,7 @@ energyCase(const char *title, const LlmConfig &model, TraceTask task,
     double base_attn = 0.0;
     for (std::size_t i = 0; i < opts.size(); ++i) {
         const auto &r = outs[i].value;
+        truncated.note(std::string(title) + " " + opts[i].label(), r);
         double fc = r.fcEnergy.total();
         double at = r.attentionEnergy.total();
         double tot = fc + at;
@@ -77,19 +79,20 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 16: energy breakdown per technique stack");
     bench::JsonRows json("bench_fig16_energy");
+    bench::TruncatedRuns truncated;
     energyCase("Fig. 16(a): LLM-7B-32K on LongBench QMSum (32K class)",
                LlmConfig::llm7b(false), TraceTask::QMSum,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     energyCase("Fig. 16(a): LLM-72B-32K on LongBench Musique",
                LlmConfig::llm72b(false), TraceTask::Musique,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     energyCase("Fig. 16(b): LLM-7B-128K-GQA on LV-Eval multifieldqa "
                "(paper: background 71.5% -> 13.0%)",
                LlmConfig::llm7b(true), TraceTask::MultifieldQa,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     energyCase("Fig. 16(b): LLM-72B-128K-GQA on LV-Eval Loogle-SD",
                LlmConfig::llm72b(true), TraceTask::LoogleSd,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

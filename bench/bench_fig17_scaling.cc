@@ -59,6 +59,7 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 17: scaling with context length and modules");
     bench::JsonRows json("bench_fig17_scaling");
+    bench::TruncatedRuns truncated;
 
     printBanner(std::cout,
                 "Fig. 17(a): throughput vs capacity at 64K mean context "
@@ -82,6 +83,8 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < module_counts.size(); ++i) {
             unsigned modules = module_counts[i];
             const auto &r = outs[i].value;
+            truncated.note("17a modules " + std::to_string(modules),
+                           r.engine);
             t.addRow({TablePrinter::fmtInt(modules * 16u) + " GiB",
                       TablePrinter::fmtInt(modules),
                       r.plan.toString(),
@@ -130,8 +133,13 @@ main(int argc, char **argv)
             const auto &nb = outs[4 * c + 2].value;
             const auto &np = outs[4 * c + 3].value;
             double row_wall = 0.0;
-            for (std::size_t v = 0; v < 4; ++v)
+            for (std::size_t v = 0; v < 4; ++v) {
                 row_wall += outs[4 * c + v].wallSeconds;
+                truncated.note("17b context " +
+                                   std::to_string(contexts[c]) +
+                                   " variant " + std::to_string(v),
+                               outs[4 * c + v].value.engine);
+            }
             t.addRow({TablePrinter::fmtInt(contexts[c]),
                       TablePrinter::fmt(cb.engine.tokensPerSecond, 2),
                       TablePrinter::fmt(cp.engine.tokensPerSecond, 2),
@@ -172,6 +180,9 @@ main(int argc, char **argv)
             Tokens ctx = contexts[i / opts.size()];
             const auto &opt = opts[i % opts.size()];
             const auto &r = outs[i].value;
+            truncated.note("17c context " + std::to_string(ctx) + " " +
+                               opt.label(),
+                           r.engine);
             double tot = r.engine.attentionSeconds + r.engine.fcSeconds;
             t.addRow({TablePrinter::fmtInt(ctx), opt.label(),
                       TablePrinter::fmtPercent(
@@ -185,5 +196,5 @@ main(int argc, char **argv)
         t.print(std::cout);
     }
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

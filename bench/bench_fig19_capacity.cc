@@ -18,6 +18,7 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 19: KV capacity utilization per allocator");
     bench::JsonRows json("bench_fig19_capacity");
+    bench::TruncatedRuns truncated;
     printBanner(std::cout,
                 "Fig. 19: capacity utilization, static vs DPA "
                 "(paper: 31.0-40.5% -> avg 75.6%)");
@@ -53,6 +54,8 @@ main(int argc, char **argv)
         auto model = LlmConfig::llm7b(lveval);
         const auto &st = outs[2 * ti].value;
         const auto &dp = outs[2 * ti + 1].value;
+        truncated.note(traceTaskName(tasks[ti]) + " static", st);
+        truncated.note(traceTaskName(tasks[ti]) + " DPA", dp);
         dpa_sum += dp.capacityUtilization;
         ++n;
         t.addRow({traceTaskName(tasks[ti]), model.name,
@@ -69,5 +72,5 @@ main(int argc, char **argv)
               << TablePrinter::fmtPercent(dpa_sum / n)
               << " (paper: 75.6%)\n";
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

@@ -17,7 +17,7 @@ namespace {
 void
 compare(const char *title, const LlmConfig &model, TraceTask task,
         unsigned n_gpus, bench::JsonRows *json,
-        const bench::BenchArgs &args)
+        const bench::BenchArgs &args, bench::TruncatedRuns &truncated)
 {
     printBanner(std::cout, title);
     TraceGenerator gen(task, 55);
@@ -51,6 +51,9 @@ compare(const char *title, const LlmConfig &model, TraceTask task,
     });
     for (std::size_t i = 0; i < kinds.size(); ++i) {
         const auto &r = outs[i].value;
+        truncated.note(std::string(title) + " " +
+                           systemKindName(kinds[i]),
+                       r.engine);
         t.addRow({systemKindName(kinds[i]) + " + PIMphony",
                   TablePrinter::fmt(r.engine.tokensPerSecond, 1),
                   bench::fmtSpeedup(r.engine.tokensPerSecond /
@@ -69,19 +72,20 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 20: GPU baseline comparison");
     bench::JsonRows json("bench_fig20_gpu");
+    bench::TruncatedRuns truncated;
     compare("Fig. 20(a): LLM-7B-32K (non-GQA) on QMSum, GPU memory "
             "matched (2x A100-80GB)",
             LlmConfig::llm7b(false), TraceTask::QMSum, 2,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     compare("Fig. 20(b): LLM-7B-128K-GQA on multifieldqa (2x A100)",
             LlmConfig::llm7b(true), TraceTask::MultifieldQa, 2,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     compare("Fig. 20(a): LLM-72B-32K (non-GQA) on QMSum (8x A100)",
             LlmConfig::llm72b(false), TraceTask::QMSum, 8,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     compare("Fig. 20(b): LLM-72B-128K-GQA on multifieldqa (8x A100)",
             LlmConfig::llm72b(true), TraceTask::MultifieldQa, 8,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

@@ -16,7 +16,8 @@ namespace {
 
 void
 contextCase(const char *title, Tokens mean_context, Tokens t_max,
-            bench::JsonRows *json, const bench::BenchArgs &args)
+            bench::JsonRows *json, const bench::BenchArgs &args,
+            bench::TruncatedRuns &truncated)
 {
     printBanner(std::cout, title);
     auto model = LlmConfig::llm7b(true);
@@ -45,6 +46,7 @@ contextCase(const char *title, Tokens mean_context, Tokens t_max,
     double prev_util = 0.0;
     for (std::size_t i = 0; i < opts.size(); ++i) {
         const auto &r = outs[i].value;
+        truncated.note(std::string(title) + " " + opts[i].label(), r);
         std::string gain = prev_util > 0.0
             ? bench::fmtSpeedup(r.macUtilization / prev_util)
             : std::string("-");
@@ -69,13 +71,14 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, "Fig. 4: effective batch and MAC utilization");
     bench::JsonRows json("bench_fig4_utilization");
+    bench::TruncatedRuns truncated;
     contextCase("Fig. 4(a): short context (~4K, T_max 4K)", 4096, 4096,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     contextCase("Fig. 4(b): long context (~32K, T_max 32K; paper: 48% "
                 "baseline util drop vs (a), gains 1.4x/1.9x/1.1x, "
                 "effective batch 53)",
                 28000, 32768,
-         args.json ? &json : nullptr, args);
+         args.json ? &json : nullptr, args, truncated);
     bench::writeJsonIfRequested(json, args);
-    return 0;
+    return truncated.exitCode();
 }

@@ -16,6 +16,8 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "system/fault.hh"
 #include "system/fleet.hh"
@@ -24,6 +26,18 @@
 using namespace pimphony;
 
 namespace {
+
+/** Exit with status 1, naming @p run, if a replica stopped at the
+ *  cycle cap. */
+void
+requireFinished(const FleetResult &r, const std::string &run)
+{
+    if (!r.aggregate.truncated)
+        return;
+    std::fprintf(stderr, "error: %s stopped at the cycle cap\n",
+                 run.c_str());
+    std::exit(1);
+}
 
 std::vector<TimedRequest>
 makeTrace(std::size_t n, double ratePerSecond, unsigned seed)
@@ -53,8 +67,10 @@ runFleet(unsigned replicas, RoutePolicy policy,
     options.engine.allocator = AllocatorKind::LazyChunk;
     options.engine.prefillChunkTokens = 2048;
 
-    FleetEngine fleet(cluster, model, trace, options);
-    return fleet.run();
+    FleetResult r = FleetEngine(cluster, model, trace, options).run();
+    requireFinished(r, std::to_string(replicas) + " replicas, " +
+                           routePolicyName(policy));
+    return r;
 }
 
 /** Replica scaling at fixed offered load. */
@@ -133,6 +149,7 @@ faultInjection()
     options.engine.prefillChunkTokens = 2048;
 
     auto clean = FleetEngine(cluster, model, trace, options).run();
+    requireFinished(clean, "fault-free fleet");
 
     // Replica 1 hard-crashes at t = 1 s (queued work evacuates,
     // in-flight decodes are killed and failed over to replica 0)
@@ -141,6 +158,7 @@ faultInjection()
     options.faults.replicas[1].push_back(crashAt(1.0));
     options.faults.replicas[1].push_back(recoverAt(2.5, 0.5));
     auto faulty = FleetEngine(cluster, model, trace, options).run();
+    requireFinished(faulty, "faulty fleet");
 
     std::printf("\nFault injection, 2 replicas: replica 1 crashes at "
                 "1.0s, recovers at 2.5s\n(+0.5s model reload)\n\n");

@@ -45,6 +45,11 @@ main()
     for (auto options :
          {PimphonyOptions::baseline(), PimphonyOptions::all()}) {
         auto result = runServing(cluster, model, requests, options);
+        if (result.truncated) {
+            std::fprintf(stderr, "error: %s stopped at the cycle cap\n",
+                         options.label().c_str());
+            return 1;
+        }
         double attn_share =
             result.attentionSeconds /
             (result.attentionSeconds + result.fcSeconds);

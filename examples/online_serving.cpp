@@ -14,6 +14,8 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -25,6 +27,17 @@
 using namespace pimphony;
 
 namespace {
+
+/** Exit with status 1, naming @p run, if it stopped at the cycle cap. */
+void
+requireFinished(const EngineResult &r, const std::string &run)
+{
+    if (!r.truncated)
+        return;
+    std::fprintf(stderr, "error: %s stopped at the cycle cap\n",
+                 run.c_str());
+    std::exit(1);
+}
 
 /**
  * SLO-aware policy selection: a bursty on/off arrival process (the
@@ -65,6 +78,7 @@ policySelection()
         opts.sched.sloTargetGapSeconds = target_gap;
         ServingEngine engine(cluster, model, timed, opts);
         auto r = engine.run();
+        requireFinished(r, "policy " + schedPolicyName(kind));
         std::printf("%-16s %8.1f %13.1f %13.2f %12.1f %8llu%s\n",
                     schedPolicyName(kind).c_str(), r.tokensPerSecond,
                     r.p95TokenGapSeconds * 1e3, r.p95FirstTokenSeconds,
@@ -120,6 +134,7 @@ requestClasses()
     opts.sched.kind = SchedPolicyKind::TierPriority;
     opts.tenantBudgets = {{0, 0.5}, {1, 0.5}};
     auto r = ServingEngine(cluster, model, timed, opts).run();
+    requireFinished(r, "request classes");
 
     std::printf("\nrequest classes under tier-priority (PP=2, equal "
                 "tenant budgets):\n\n");
@@ -179,6 +194,7 @@ multiTurnSessions()
     ServingEngine engine(cluster, model, built.initial, opts);
     engine.declareSessionTurns(built.sessions);
     auto r = engine.run();
+    requireFinished(r, "multi-turn sessions");
 
     std::unordered_map<RequestId, unsigned> turn_of;
     for (const auto &tr : built.initial)
@@ -240,6 +256,8 @@ main()
             // Open loop: admission is driven by arrival events.
             ServingEngine engine(cluster, model, timed, opts);
             auto r = engine.run();
+            requireFinished(r, "rate " + std::to_string(rate) + " " +
+                                   options.label());
             std::printf("%9.1f/s  %-14s %10.1f %12.2f %12.2f\n", rate,
                         options.label().c_str(), r.tokensPerSecond,
                         r.avgRequestLatency, r.p95RequestLatency);

@@ -41,6 +41,11 @@ main()
         config.options = options;
         PimphonyOrchestrator orchestrator(config);
         auto result = orchestrator.evaluate(TraceTask::MultifieldQa);
+        if (result.engine.truncated) {
+            std::fprintf(stderr, "error: %s stopped at the cycle cap\n",
+                         options.label().c_str());
+            return 1;
+        }
         if (baseline == 0.0)
             baseline = result.engine.tokensPerSecond;
         std::printf("%-14s %10.1f %9.1f%% %9.1f%% %10.1f   (%.2fx)\n",

@@ -117,6 +117,57 @@ nearestRankPercentileInPlace(std::vector<double> &samples, double p)
     return samples[rank - 1];
 }
 
+double
+nearestRankPercentileInPlace(const std::vector<std::vector<double> *> &parts,
+                             double p)
+{
+    // The active range [lo, hi) of each non-empty part; the answer is
+    // the k-th smallest value (0-based) of their union.
+    struct Range { double *lo, *hi, *lessEnd, *equalEnd; };
+    std::vector<Range> ranges;
+    std::vector<double> *only = nullptr;
+    std::size_t n = 0;
+    for (std::vector<double> *part : parts) {
+        if (part->empty())
+            continue;
+        double *lo = part->data();
+        ranges.push_back({lo, lo + part->size(), lo, lo});
+        n += part->size();
+        only = part;
+    }
+    if (ranges.size() <= 1)
+        return only ? nearestRankPercentileInPlace(*only, p) : 0.0;
+    std::size_t k = nearestRank(n, p) - 1;
+    for (;;) {
+        // Pivot: median of three values of the first active range. It
+        // is active itself, so every round drops at least its block.
+        const Range &r0 = *std::find_if(
+            ranges.begin(), ranges.end(),
+            [](const Range &r) { return r.lo != r.hi; });
+        double a = r0.lo[0], b = r0.lo[(r0.hi - r0.lo) / 2], c = r0.hi[-1];
+        double pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
+        std::size_t less = 0, equal = 0;
+        for (Range &r : ranges) {
+            r.lessEnd = std::partition(
+                r.lo, r.hi, [pivot](double v) { return v < pivot; });
+            r.equalEnd = std::partition(
+                r.lessEnd, r.hi, [pivot](double v) { return v == pivot; });
+            less += static_cast<std::size_t>(r.lessEnd - r.lo);
+            equal += static_cast<std::size_t>(r.equalEnd - r.lessEnd);
+        }
+        if (k >= less && k < less + equal)
+            return pivot;
+        for (Range &r : ranges) {
+            if (k < less)
+                r.hi = r.lessEnd;
+            else
+                r.lo = r.equalEnd;
+        }
+        if (k >= less)
+            k -= less + equal;
+    }
+}
+
 WindowedQuantile::WindowedQuantile(std::size_t window, double percentile)
     : window_(window), percentile_(percentile)
 {

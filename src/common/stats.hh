@@ -118,6 +118,17 @@ double nearestRankPercentileInPlace(std::vector<double> &samples,
                                     double p);
 
 /**
+ * Nearest-rank percentile of the union of several unsorted samples,
+ * equal to nearestRankPercentile on their sorted concatenation but
+ * without building it: a three-way quickselect partitions each part
+ * in place (one part takes the nth_element path above). Returns 0
+ * when every part is empty.
+ */
+double
+nearestRankPercentileInPlace(const std::vector<std::vector<double> *> &parts,
+                             double p);
+
+/**
  * Streaming nearest-rank percentile over a sliding window of the
  * most recent @p window samples.
  *

@@ -408,10 +408,9 @@ class ServingEngine
     void setServiceRateScale(double factor);
 
     /**
-     * Close a prepared run: collect the per-stage policy metrics,
-     * summarize latency samples, and return the result — the tail
-     * run() executes after its event loop drains. Call once, after
-     * the final advanceTo().
+     * Close a prepared run: collect the per-stage policy metrics and
+     * return summarize({this}) — the tail run() executes after its
+     * event loop drains. Call once, after the final advanceTo().
      */
     EngineResult finalize();
 
@@ -430,6 +429,27 @@ class ServingEngine
     const KvAllocator &allocatorView() const { return *allocator_; }
 
   private:
+    friend class FleetEngine;
+
+    /**
+     * The one summary rule over finalized engines, in engine order
+     * (finalize() returns it over {this}, FleetEngine over its
+     * replicas): counters and energies summed, maxima taken,
+     * per-request maps merged (a later engine overwrites a key);
+     * averages and nearest-rank p95s over the engines' own samples,
+     * reordered in place; ratios as sums over sums (see FleetResult).
+     */
+    static EngineResult summarize(const std::vector<ServingEngine *> &engines);
+
+    /** One latency metric's samples and their running sum. */
+    struct Samples
+    {
+        std::vector<double> values;
+        double sum = 0.0;
+
+        void add(double v) { values.push_back(v); sum += v; }
+    };
+
     struct Active
     {
         Request request;
@@ -519,6 +539,19 @@ class ServingEngine
         double prefillSeconds = 0.0;
     };
     Admission tryAdmitOne(const TimedRequest &timed, bool allow_borrow);
+
+    /** What the prefix tree could serve a request (probePrefix). */
+    struct PrefixProbe
+    {
+        std::uint64_t key = 0;        ///< warm entry (0 = none)
+        Tokens share = 0;             ///< tokens it holds
+        std::uint64_t publishKey = 0; ///< uncached declared prefix
+        bool probed = false;          ///< a probe ran (hit/miss count)
+    };
+
+    /** The prefix probe rule: retained session history first, then
+     *  the declared workload prefix. Read-only; caching on only. */
+    PrefixProbe probePrefix(const Request &r) const;
 
     /**
      * The admission scan at time @p now: walk the arrived queue in
@@ -613,8 +646,8 @@ class ServingEngine
 
         std::uint64_t requests = 0;
         std::uint64_t completed = 0;
-        std::vector<double> ttfts;
-        std::vector<double> gaps;
+        Samples ttfts;
+        Samples gaps;
 
         /** Per-tier windowed p95 (gap-steered policies only). */
         std::unique_ptr<WindowedQuantile> window;
@@ -677,14 +710,11 @@ class ServingEngine
      *  custody is released before the allocator dies. */
     std::unique_ptr<PrefixCache> prefixCache_;
 
-    /** options_.prefixCache.enabled (hot-path guard). */
-    bool prefixActive_ = false;
-
     /** Peak shared/unique custody samples (EngineResult). */
     Bytes prefixSharedPeak_ = 0;
     Bytes prefixUniquePeak_ = 0;
 
-    /** Sample shared/unique custody peaks (prefixActive_ only). */
+    /** Sample shared/unique custody peaks (caching on only). */
     void prefixSampleOccupancy();
 
     /** Drop @p a's prefix-tree reference, if it holds one: the
@@ -694,18 +724,15 @@ class ServingEngine
 
     std::unique_ptr<PimModuleModel> module_;
     std::unique_ptr<XpuModel> xpu_;
-    std::vector<double> latencies_;
-    std::vector<double> firstTokenLatencies_;
-    std::vector<double> tokenGaps_;
+    Samples latencies_;
+    Samples firstTokenLatencies_;
+    Samples tokenGaps_;
 
     /**
      * Declared-but-unreleased successor turns, keyed by the
      * predecessor request id; entries are erased as they fire.
      */
     SessionBook sessions_;
-
-    /** declareSessionTurns() declared at least one successor. */
-    bool sessionsActive_ = false;
 
     /** Any request carries a non-default class (tiers in play). */
     bool classesActive_ = false;

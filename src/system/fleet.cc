@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -170,11 +169,16 @@ FleetEngine::run()
 
     drive();
 
+    // The engine's own summary rule over all replicas at once, read
+    // before the engines go.
     fleet.replicas.reserve(R);
-    for (auto &eng : engines_)
+    std::vector<ServingEngine *> replicas;
+    for (auto &eng : engines_) {
         fleet.replicas.push_back(eng->finalize());
+        replicas.push_back(eng.get());
+    }
+    fleet.aggregate = ServingEngine::summarize(replicas);
     engines_.clear();
-    fleet.aggregate = aggregateResults(fleet.replicas);
     for (auto &cl : fleet.aggregate.classLatencies)
         cl.requests -= tierRetries_[cl.tier];
 
@@ -555,171 +559,6 @@ FleetEngine::drive()
     for (const auto &kv : attempts)
         ++fleet.retryHistogram[std::min<unsigned>(
             kv.second, options_.retryBudget)];
-}
-
-EngineResult
-FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
-{
-    EngineResult agg;
-
-    // Weighted-average accumulators: (sum of value * weight, sum of
-    // weight) pairs folded into the mean at the end.
-    double lat_w = 0.0, lat_sum = 0.0;
-    double ttft_w = 0.0, ttft_sum = 0.0;
-    double gap_w = 0.0, gap_sum = 0.0;
-    double batch_sum = 0.0, mac_sum = 0.0, cap_sum = 0.0;
-    double sec_sum = 0.0;
-
-    struct ClassAccum
-    {
-        EngineResult::ClassLatency out;
-        double ttft_w = 0.0, ttft_sum = 0.0;
-        double gap_w = 0.0, gap_sum = 0.0;
-    };
-    std::map<unsigned, ClassAccum> classes;
-
-    struct TenantAccum
-    {
-        EngineResult::TenantOccupancy out;
-        double share_sum = 0.0, share_w = 0.0;
-    };
-    std::map<unsigned, TenantAccum> tenants;
-
-    for (const EngineResult &r : results) {
-        agg.generatedTokens += r.generatedTokens;
-        agg.completedRequests += r.completedRequests;
-        agg.rejectedRequests += r.rejectedRequests;
-        agg.preemptions += r.preemptions;
-        agg.simEvents += r.simEvents;
-        agg.truncated = agg.truncated || r.truncated;
-        agg.sloDeferrals += r.sloDeferrals;
-        agg.chunkSlices += r.chunkSlices;
-        agg.decodeOvertakes += r.decodeOvertakes;
-        agg.decodePreemptSlices += r.decodePreemptSlices;
-        agg.tierInversions += r.tierInversions;
-        agg.budgetDeferrals += r.budgetDeferrals;
-        agg.prefixHits += r.prefixHits;
-        agg.prefixMisses += r.prefixMisses;
-        agg.prefixEvictions += r.prefixEvictions;
-        agg.prefixCachedTokens += r.prefixCachedTokens;
-        agg.savedPrefillSeconds += r.savedPrefillSeconds;
-        agg.sharedKvPeakBytes =
-            std::max(agg.sharedKvPeakBytes, r.sharedKvPeakBytes);
-        agg.uniqueKvPeakBytes =
-            std::max(agg.uniqueKvPeakBytes, r.uniqueKvPeakBytes);
-
-        agg.attentionSeconds += r.attentionSeconds;
-        agg.fcSeconds += r.fcSeconds;
-        agg.prefillSeconds += r.prefillSeconds;
-        agg.xpuPrefillBusySeconds += r.xpuPrefillBusySeconds;
-        agg.attentionEnergy += r.attentionEnergy;
-        agg.fcEnergy += r.fcEnergy;
-
-        agg.simulatedSeconds =
-            std::max(agg.simulatedSeconds, r.simulatedSeconds);
-        agg.maxDecodeXpuWaitSeconds = std::max(
-            agg.maxDecodeXpuWaitSeconds, r.maxDecodeXpuWaitSeconds);
-        agg.maxTierInversionWaitSeconds =
-            std::max(agg.maxTierInversionWaitSeconds,
-                     r.maxTierInversionWaitSeconds);
-        agg.p95RequestLatency =
-            std::max(agg.p95RequestLatency, r.p95RequestLatency);
-        agg.p95FirstTokenSeconds =
-            std::max(agg.p95FirstTokenSeconds, r.p95FirstTokenSeconds);
-        agg.p95TokenGapSeconds =
-            std::max(agg.p95TokenGapSeconds, r.p95TokenGapSeconds);
-
-        double w = static_cast<double>(r.completedRequests);
-        lat_w += w;
-        lat_sum += r.avgRequestLatency * w;
-        double fw = static_cast<double>(r.firstTokenLatency.size());
-        ttft_w += fw;
-        ttft_sum += r.avgFirstTokenSeconds * fw;
-        double gw = static_cast<double>(r.generatedTokens) -
-                    static_cast<double>(r.firstTokenLatency.size());
-        gw = std::max(gw, 0.0);
-        gap_w += gw;
-        gap_sum += r.avgTokenGapSeconds * gw;
-
-        batch_sum += r.avgEffectiveBatch * r.simulatedSeconds;
-        mac_sum += r.macUtilization * r.simulatedSeconds;
-        cap_sum += r.capacityUtilization * r.simulatedSeconds;
-        sec_sum += r.simulatedSeconds;
-
-        for (const auto &kv : r.firstTokenLatency)
-            agg.firstTokenLatency[kv.first] = kv.second;
-        for (const auto &kv : r.completionSeconds)
-            agg.completionSeconds[kv.first] = kv.second;
-
-        for (const auto &cl : r.classLatencies) {
-            ClassAccum &ca = classes[cl.tier];
-            ca.out.tier = cl.tier;
-            ca.out.gapSloTargetSeconds = std::max(
-                ca.out.gapSloTargetSeconds, cl.gapSloTargetSeconds);
-            ca.out.requests += cl.requests;
-            ca.out.completedRequests += cl.completedRequests;
-            double cw = static_cast<double>(cl.completedRequests);
-            ca.ttft_w += cw;
-            ca.ttft_sum += cl.avgFirstTokenSeconds * cw;
-            ca.gap_w += cw;
-            ca.gap_sum += cl.avgTokenGapSeconds * cw;
-            ca.out.p95FirstTokenSeconds = std::max(
-                ca.out.p95FirstTokenSeconds, cl.p95FirstTokenSeconds);
-            ca.out.p95TokenGapSeconds = std::max(
-                ca.out.p95TokenGapSeconds, cl.p95TokenGapSeconds);
-        }
-
-        for (const auto &to : r.tenantOccupancy) {
-            TenantAccum &ta = tenants[to.tenant];
-            ta.out.tenant = to.tenant;
-            ta.out.budgetShare =
-                std::max(ta.out.budgetShare, to.budgetShare);
-            ta.out.admittedRequests += to.admittedRequests;
-            ta.out.budgetDeferrals += to.budgetDeferrals;
-            ta.out.peakTokenShare =
-                std::max(ta.out.peakTokenShare, to.peakTokenShare);
-            ta.share_sum += to.avgTokenShare * r.simulatedSeconds;
-            ta.share_w += r.simulatedSeconds;
-        }
-    }
-
-    if (agg.simulatedSeconds > 0.0)
-        agg.tokensPerSecond = static_cast<double>(agg.generatedTokens) /
-                              agg.simulatedSeconds;
-    if (agg.prefixHits + agg.prefixMisses > 0)
-        agg.prefixHitRate =
-            static_cast<double>(agg.prefixHits) /
-            static_cast<double>(agg.prefixHits + agg.prefixMisses);
-    if (lat_w > 0.0)
-        agg.avgRequestLatency = lat_sum / lat_w;
-    if (ttft_w > 0.0)
-        agg.avgFirstTokenSeconds = ttft_sum / ttft_w;
-    if (gap_w > 0.0)
-        agg.avgTokenGapSeconds = gap_sum / gap_w;
-    if (agg.simulatedSeconds > 0.0)
-        // Sum of per-replica concurrent batches, time-averaged over
-        // the fleet makespan.
-        agg.avgEffectiveBatch = batch_sum / agg.simulatedSeconds;
-    if (sec_sum > 0.0) {
-        agg.macUtilization = mac_sum / sec_sum;
-        agg.capacityUtilization = cap_sum / sec_sum;
-    }
-
-    for (auto &kv : classes) {
-        ClassAccum &ca = kv.second;
-        if (ca.ttft_w > 0.0)
-            ca.out.avgFirstTokenSeconds = ca.ttft_sum / ca.ttft_w;
-        if (ca.gap_w > 0.0)
-            ca.out.avgTokenGapSeconds = ca.gap_sum / ca.gap_w;
-        agg.classLatencies.push_back(ca.out);
-    }
-    for (auto &kv : tenants) {
-        TenantAccum &ta = kv.second;
-        if (ta.share_w > 0.0)
-            ta.out.avgTokenShare = ta.share_sum / ta.share_w;
-        agg.tenantOccupancy.push_back(ta.out);
-    }
-    return agg;
 }
 
 } // namespace pimphony

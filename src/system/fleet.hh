@@ -152,16 +152,23 @@ struct FleetOptions
 struct FleetResult
 {
     /**
-     * Fleet-level roll-up of the per-replica results. Counters
-     * (tokens, requests, events, energies, policy metrics) are sums;
-     * simulatedSeconds is the fleet makespan (max over replicas) and
-     * tokensPerSecond the fleet throughput over it; averages are
-     * weighted by each replica's sample count; p95s are the max over
-     * replicas — a conservative bound, since exact fleet percentiles
-     * would need the merged sample sets the replicas no longer hold.
-     * Per-tier request counts are distinct requests: a failed-over
-     * request counts once, not once per replica it was offered to.
-     * Otherwise a deterministic function of the per-replica results.
+     * Fleet-level roll-up: the engine's own summary rule
+     * (ServingEngine::finalize) applied to all replicas at once.
+     * Counters (tokens, requests, events, energies, policy metrics)
+     * are sums; simulatedSeconds is the fleet makespan (max over
+     * replicas) and tokensPerSecond the fleet throughput over it.
+     * Averages and p95s, top-level and per tier, are exact over the
+     * union of the replicas' samples. Ratios are sums over sums:
+     * macUtilization is busy over span channel-cycles,
+     * avgEffectiveBatch the summed batch-time integrals over the
+     * makespan, and capacityUtilization and each tenant's
+     * avgTokenShare their summed integrals over the summed replica
+     * seconds. The per-request maps are merged in replica order, so
+     * a failed-over request keeps the last replica's entry, while the
+     * TTFT samples count it once per replica that emitted its first
+     * token. Per-tier request counts are distinct requests: a
+     * failed-over request counts once, not once per replica it was
+     * offered to.
      */
     EngineResult aggregate;
 
@@ -287,10 +294,6 @@ class FleetEngine
      * fault transitions, route due arrivals and retries, then drain.
      */
     void drive();
-
-    /** Fleet-level aggregate of @p results (see FleetResult). */
-    static EngineResult
-    aggregateResults(const std::vector<EngineResult> &results);
 
     /** Policies that read and maintain the queued-token signal. */
     bool usesLoads() const

@@ -273,5 +273,45 @@ TEST(NearestRankInPlace, MatchesSortedNearestRank)
     EXPECT_DOUBLE_EQ(nearestRankPercentileInPlace(empty, 95.0), 0.0);
 }
 
+TEST(NearestRankInPlace, SeveralPartsMatchTheSortedConcatenation)
+{
+    // Random splits of random samples into parts, some of them empty;
+    // values drawn from a small set so ties are common.
+    Rng rng(31);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::size_t n_parts = 1 + rng.uniformInt(0, 4);
+        std::vector<std::vector<double>> parts(n_parts);
+        std::vector<double> all;
+        std::size_t n = rng.uniformInt(0, 60);
+        bool ties = trial % 2 == 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            double v = ties ? static_cast<double>(rng.uniformInt(0, 5))
+                            : rng.uniform();
+            parts[rng.uniformInt(0, n_parts - 1)].push_back(v);
+            all.push_back(v);
+        }
+        std::sort(all.begin(), all.end());
+        for (double p : {1.0, 50.0, 95.0, 100.0}) {
+            std::vector<std::vector<double>> scratch = parts;
+            std::vector<std::vector<double> *> ptrs;
+            for (auto &part : scratch)
+                ptrs.push_back(&part);
+            EXPECT_EQ(nearestRankPercentileInPlace(ptrs, p),
+                      nearestRankPercentile(all, p))
+                << "trial " << trial << " p " << p;
+            // In place: each part keeps its multiset of values.
+            for (std::size_t k = 0; k < parts.size(); ++k) {
+                std::vector<double> a = parts[k], b = scratch[k];
+                std::sort(a.begin(), a.end());
+                std::sort(b.begin(), b.end());
+                EXPECT_EQ(a, b);
+            }
+        }
+    }
+    std::vector<double> empty_a, empty_b;
+    EXPECT_EQ(nearestRankPercentileInPlace({&empty_a, &empty_b}, 95.0),
+              0.0);
+}
+
 } // namespace
 } // namespace pimphony

@@ -17,13 +17,18 @@
  *      window barrier routes at that barrier (inclusive bound);
  *  (e) golden: multi-replica routing, windowing and the resulting
  *      simulation are pinned at hex-float precision under zero and
- *      positive lookahead, across all three routing policies.
+ *      positive lookahead, across all three routing policies;
+ *  (f) the aggregate follows the engine's summary rule: exact p95s
+ *      over the merged samples, gap averages weighted by gap count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "common/stats.hh"
 #include "result_compare.hh"
 #include "system/engine.hh"
 #include "system/fleet.hh"
@@ -132,6 +137,8 @@ TEST(FleetEngine, OneReplicaMatchesBareEngineWithClassesAndBudgets)
         ASSERT_EQ(bare.tenantOccupancy.size(), 2u);
         ASSERT_EQ(fleet.replicas.size(), 1u);
         expectSameResult(fleet.replicas[0], bare);
+        // The aggregate is the engine's summary over {replica 0}.
+        expectSameResult(fleet.aggregate, bare);
     }
 }
 
@@ -369,10 +376,12 @@ TEST(FleetGolden, ZeroLookaheadRoundRobin)
     EXPECT_EQ(f.aggregate.simEvents, 1768u);
     EXPECT_EQ(f.aggregate.generatedTokens, 768u);
     EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.6729d950969a7p+1);
+    // Exact fleet p95s; the former max-across-replicas bound read
+    // 0x1.cb9292b8bf1ecp+0 and 0x1.33df1d7d46f48p-2.
     EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
-                     0x1.cb9292b8bf1ecp+0);
+                     0x1.ae80791ce9bb7p+0);
     EXPECT_DOUBLE_EQ(f.aggregate.p95TokenGapSeconds,
-                     0x1.33df1d7d46f48p-2);
+                     0x1.28e8869efeee8p-2);
 }
 
 TEST(FleetGolden, WindowedLeastLoaded)
@@ -384,10 +393,12 @@ TEST(FleetGolden, WindowedLeastLoaded)
     EXPECT_EQ(f.aggregate.simEvents, 1744u);
     EXPECT_EQ(f.aggregate.generatedTokens, 768u);
     EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.5f76761142243p+1);
+    // Exact fleet p95s; the former max-across-replicas bound read
+    // 0x1.e0c88c16e7196p+0 and 0x1.1f7d8bc4d1bd8p-2.
     EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
-                     0x1.e0c88c16e7196p+0);
+                     0x1.be62968a536bp+0);
     EXPECT_DOUBLE_EQ(f.aggregate.p95TokenGapSeconds,
-                     0x1.1f7d8bc4d1bd8p-2);
+                     0x1.19fe2bcc73644p-2);
 }
 
 TEST(FleetGolden, WindowedPrefixAffinitySessions)
@@ -400,13 +411,127 @@ TEST(FleetGolden, WindowedPrefixAffinitySessions)
     EXPECT_EQ(f.aggregate.generatedTokens, 576u);
     EXPECT_EQ(f.aggregate.prefixHits, 28u);
     EXPECT_DOUBLE_EQ(f.aggregate.simulatedSeconds, 0x1.4f03ba6d31fa4p+1);
+    // Exact fleet p95s; the former max-across-replicas bound read
+    // 0x1.597d5d2721e58p-2 and 0x1.a8c499b8c1cap-5.
     EXPECT_DOUBLE_EQ(f.aggregate.p95FirstTokenSeconds,
-                     0x1.597d5d2721e58p-2);
+                     0x1.43f90d1799e0cp-2);
     EXPECT_DOUBLE_EQ(f.aggregate.p95TokenGapSeconds,
-                     0x1.a8c499b8c1cap-5);
+                     0x1.949eca9b2008p-7);
 }
 
 // --- Roll-up sanity. ---------------------------------------------------
+
+/**
+ * Two fault-free replicas over a three-tier trace whose decode lengths
+ * vary per request, so gap counts are not proportional to completed
+ * requests.
+ */
+std::vector<TimedRequest>
+tieredTrace()
+{
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 48; ++i) {
+        Request r{i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
+                  Tokens(4 + (i % 5) * 7)};
+        r.cls.tier = i % 3;
+        reqs.push_back(r);
+    }
+    return poissonArrivals(reqs, 32.0, 19);
+}
+
+FleetResult
+runTieredFleet(const std::vector<TimedRequest> &trace)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::LeastLoaded;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    return FleetEngine(cluster, model, trace, fopts).run();
+}
+
+TEST(FleetEngine, TierGapAverageIsWeightedByGapCount)
+{
+    auto trace = tieredTrace();
+    auto fleet = runTieredFleet(trace);
+    ASSERT_EQ(fleet.aggregate.completedRequests, trace.size());
+    ASSERT_EQ(fleet.aggregate.preemptions, 0u);
+
+    // Without preemption a completed request produced decode - 1 gaps
+    // on the replica that completed it.
+    std::map<RequestId, const Request *> by_id;
+    for (const TimedRequest &t : trace)
+        by_id[t.request.id] = &t.request;
+    std::map<unsigned, double> weighted, gaps;
+    for (const EngineResult &r : fleet.replicas) {
+        std::map<unsigned, double> replica_gaps;
+        for (const auto &kv : r.completionSeconds) {
+            const Request &req = *by_id.at(kv.first);
+            replica_gaps[req.cls.tier] +=
+                static_cast<double>(req.decodeTokens - 1);
+        }
+        for (const auto &cl : r.classLatencies) {
+            weighted[cl.tier] +=
+                cl.avgTokenGapSeconds * replica_gaps[cl.tier];
+            gaps[cl.tier] += replica_gaps[cl.tier];
+        }
+    }
+    ASSERT_EQ(fleet.aggregate.classLatencies.size(), 3u);
+    for (const auto &cl : fleet.aggregate.classLatencies) {
+        ASSERT_GT(gaps[cl.tier], 0.0);
+        double expect = weighted[cl.tier] / gaps[cl.tier];
+        EXPECT_NEAR(cl.avgTokenGapSeconds, expect, 1e-12 * expect)
+            << "tier " << cl.tier;
+    }
+}
+
+TEST(FleetEngine, FleetTtftP95IsExactOverTheMergedMap)
+{
+    auto fleet = runTieredFleet(tieredTrace());
+    std::vector<double> ttfts;
+    for (const auto &kv : fleet.aggregate.firstTokenLatency)
+        ttfts.push_back(kv.second);
+    std::sort(ttfts.begin(), ttfts.end());
+    ASSERT_FALSE(ttfts.empty());
+    EXPECT_EQ(fleet.aggregate.p95FirstTokenSeconds,
+              nearestRankPercentile(ttfts, 95.0));
+}
+
+TEST(FleetEngine, FleetP95sLieWithinTheReplicaP95s)
+{
+    auto fleet = runTieredFleet(tieredTrace());
+    auto expect_within = [](double agg, const std::vector<double> &parts,
+                            const char *what) {
+        ASSERT_FALSE(parts.empty());
+        EXPECT_GE(agg, *std::min_element(parts.begin(), parts.end()))
+            << what;
+        EXPECT_LE(agg, *std::max_element(parts.begin(), parts.end()))
+            << what;
+    };
+    std::vector<double> lat, ttft, gap;
+    std::map<unsigned, std::vector<double>> tier_ttft, tier_gap;
+    for (const EngineResult &r : fleet.replicas) {
+        ASSERT_GT(r.completedRequests, 0u);
+        lat.push_back(r.p95RequestLatency);
+        ttft.push_back(r.p95FirstTokenSeconds);
+        gap.push_back(r.p95TokenGapSeconds);
+        for (const auto &cl : r.classLatencies) {
+            tier_ttft[cl.tier].push_back(cl.p95FirstTokenSeconds);
+            tier_gap[cl.tier].push_back(cl.p95TokenGapSeconds);
+        }
+    }
+    expect_within(fleet.aggregate.p95RequestLatency, lat, "latency");
+    expect_within(fleet.aggregate.p95FirstTokenSeconds, ttft, "ttft");
+    expect_within(fleet.aggregate.p95TokenGapSeconds, gap, "gap");
+    for (const auto &cl : fleet.aggregate.classLatencies) {
+        expect_within(cl.p95FirstTokenSeconds, tier_ttft[cl.tier],
+                      "tier ttft");
+        expect_within(cl.p95TokenGapSeconds, tier_gap[cl.tier],
+                      "tier gap");
+    }
+}
 
 TEST(FleetEngine, AggregateSumsAndBoundsPerReplicaResults)
 {
