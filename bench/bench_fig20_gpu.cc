@@ -26,6 +26,7 @@ compare(const char *title, const LlmConfig &model, TraceTask task,
     GpuSystemConfig gpu;
     gpu.nGpus = n_gpus;
     auto g = runGpuServing(gpu, model, requests);
+    truncated.note(std::string(title) + " GPU", g.truncated);
 
     bench::MirroredTable t(
 

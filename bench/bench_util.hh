@@ -501,20 +501,26 @@ writeJsonIfRequested(const JsonRows &json, const BenchArgs &args)
 }
 
 /**
- * Loud failure for capped runs. A run that stopped at the
- * EngineOptions::maxSteps cap (EngineResult::truncated) reports
- * numbers that cover only part of its trace, so a bench note()s every
- * result it prints and returns exitCode() from main: each truncated
- * config is named on stderr and the bench exits 1.
+ * Loud failure for capped runs. A run that stopped at its step cap
+ * (EngineResult::truncated, GpuRunResult::truncated) reports numbers
+ * that cover only part of its trace, so a bench note()s every result
+ * it prints and returns exitCode() from main: each truncated config
+ * is named on stderr and the bench exits 1.
  */
 class TruncatedRuns
 {
   public:
     void
+    note(const std::string &config, bool truncated)
+    {
+        if (truncated)
+            names_.push_back(config);
+    }
+
+    void
     note(const std::string &config, const EngineResult &r)
     {
-        if (r.truncated)
-            names_.push_back(config);
+        note(config, r.truncated);
     }
 
     int
@@ -522,7 +528,7 @@ class TruncatedRuns
     {
         for (const std::string &name : names_)
             std::cerr << "error: " << name
-                      << " stopped at the cycle cap (truncated run)\n";
+                      << " stopped at the step cap (truncated run)\n";
         return names_.empty() ? 0 : 1;
     }
 

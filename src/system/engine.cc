@@ -63,29 +63,10 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
         cluster_.plan.pp, *module_, xpu_.get(),
         policy_->reordersXpu() ? policy_.get() : nullptr);
     sortByArrival(requests);
-    // Pre-size the sample accumulators from the workload: one
-    // latency and TTFT sample per request, and at most one gap per
-    // decoded token after the first — the push_back paths then never
-    // reallocate mid-run.
-    Tokens total_decode = 0;
-    for (const auto &r : requests)
-        total_decode += r.request.decodeTokens;
-    latencies_.values.reserve(requests.size());
-    firstTokenLatencies_.values.reserve(requests.size());
-    tokenGaps_.values.reserve(total_decode);
-    result_.firstTokenLatency.reserve(requests.size());
-    result_.completionSeconds.reserve(requests.size());
-    readyPool_.reserve(requests.size());
-    // Open-loop arrivals become events at prepare(); time-zero
-    // requests are available immediately.
-    for (const auto &timed : requests)
-        (timed.arrivalSeconds <= 0.0 ? arrived_ : future_).push_back(timed);
-
-    // Tenant budgets, then the class/tenant registration a fleet
-    // replica performs for its routed requests. Both stay fully
-    // inert — no extra bookkeeping on any path — when every request
-    // carries the default class and no budgets are configured, so
-    // the pre-tier engine is reproduced bit for bit.
+    // Tenant budgets, then the tier/tenant registration a fleet
+    // replica performs for its routed requests. The tenant side
+    // stays inert when no request names a tenant and no budgets are
+    // configured; a default-class workload is one tier.
     budgetsActive_ = !options_.tenantBudgets.empty();
     capacityTokens_ = static_cast<double>(allocator_->capacity()) /
                       static_cast<double>(model_.kvBytesPerToken());
@@ -103,18 +84,13 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     declareWorkload(requests);
     for (const auto &timed : requests)
         registerInjected(timed);
-    if (classesActive_) {
-        // Pre-size the per-tier samples like the aggregate vectors
-        // above, so the decode path never reallocates mid-run.
-        std::map<unsigned, Tokens> tier_decode;
-        for (const auto &timed : requests)
-            tier_decode[timed.request.cls.tier] +=
-                timed.request.decodeTokens;
-        for (auto &kv : tiers_) {
-            kv.second.ttfts.values.reserve(kv.second.requests);
-            kv.second.gaps.values.reserve(tier_decode[kv.first]);
-        }
-    }
+    result_.firstTokenLatency.reserve(requests.size());
+    result_.completionSeconds.reserve(requests.size());
+    readyPool_.reserve(requests.size());
+    // Open-loop arrivals become events at prepare(); time-zero
+    // requests are available immediately.
+    for (const auto &timed : requests)
+        (timed.arrivalSeconds <= 0.0 ? arrived_ : future_).push_back(timed);
 }
 
 bool
@@ -316,10 +292,11 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
     if (prefixCache_)
         prefixSampleOccupancy();
     // The prefix state is all zero when caching is off, making the
-    // record identical to the pre-cache construction.
+    // record identical to the pre-cache construction. The tier was
+    // registered when the request arrived.
     return {AdmitOutcome::Admitted,
             Active{front, 0, timed.arrivalSeconds, -1.0, custody, warm,
-                   key, publisher, tenant_charge},
+                   key, publisher, tenant_charge, &tiers_.at(front.cls.tier)},
             prefill_sec};
 }
 
@@ -407,21 +384,15 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
         // First admission wins: a preempted-and-recomputed request
         // keeps the TTFT of its first emitted token.
         if (result_.firstTokenLatency.emplace(a.request.id, ttft).second) {
-            firstTokenLatencies_.add(ttft);
-            if (classesActive_)
-                tiers_[a.request.cls.tier].ttfts.add(ttft);
+            ttftSum_ += ttft;
+            a.tier->ttfts.add(ttft);
         }
     } else if (a.lastTokenAt >= 0.0) {
         double gap = completion_clock - a.lastTokenAt;
-        tokenGaps_.add(gap);
-        if (gapWindow_)
-            gapWindow_->add(gap);
-        if (classesActive_) {
-            TierState &ts = tiers_[a.request.cls.tier];
-            ts.gaps.add(gap);
-            if (ts.window)
-                ts.window->add(gap);
-        }
+        gapSum_ += gap;
+        a.tier->gaps.add(gap);
+        if (a.tier->window)
+            a.tier->window->add(gap);
     }
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
@@ -453,8 +424,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
         releaseCacheRef(a);
         tenantRelease(a);
         ++result_.completedRequests;
-        if (classesActive_)
-            ++tiers_[a.request.cls.tier].completed;
+        ++a.tier->completed;
         latencies_.add(completion_clock - a.arrival);
         result_.completionSeconds.emplace(a.request.id,
                                           completion_clock);
@@ -472,24 +442,19 @@ ServingEngine::admitArrived(double now)
     // population without head-of-line blocking the others.
     if (halted_)
         return; // crashed replica: admissions wait for the sweep
-    // The SLO gate guards new prefills on the chunked path; it is
-    // re-checked at every cycle completion.
-    const bool gated = options_.prefillChunkTokens > 0;
-    if (gated && classesActive_ && policy_->needsGapSignal())
+    // The SLO gate guards new prefills on the chunked path when the
+    // policy steers on the gap signal; it is re-checked at every
+    // cycle completion.
+    const bool chunked = options_.prefillChunkTokens > 0;
+    const bool gated = chunked && policy_->needsGapSignal();
+    if (gated)
         refreshTiersInFlight();
-    // Without per-tier windows the gate reads one global signal that
-    // the scan does not move, so one answer serves every prefill.
-    const bool uniform_gate =
-        gated && (tiers_.empty() || !policy_->needsGapSignal());
-    const bool uniform_defers = uniform_gate && !arrived_.empty() &&
-                                classGateDefers(RequestClass{});
     std::set<unsigned> entitled = entitledTenantsWaiting();
     bool gate_deferred = false;
     for (std::size_t i = 0; i < arrived_.size();) {
         const TimedRequest &timed = arrived_[i];
         if (gated && timed.request.contextTokens > 0 &&
-            (uniform_gate ? uniform_defers
-                          : classGateDefers(timed.request.cls))) {
+            classGateDefers(timed.request.cls)) {
             // At most one deferral per admission check.
             if (!gate_deferred) {
                 ++result_.sloDeferrals;
@@ -509,7 +474,7 @@ ServingEngine::admitArrived(double now)
         arrived_.erase(arrived_.begin() + static_cast<std::ptrdiff_t>(i));
         if (adm.outcome != AdmitOutcome::Admitted)
             continue; // Rejected: already counted
-        if (gated) {
+        if (chunked) {
             startPrefill(std::move(adm.active), now);
         } else {
             prefillReady_ = std::max(prefillReady_, now) +
@@ -659,8 +624,9 @@ ServingEngine::takeFairShare(std::vector<Active> &into)
     // Tier-segregated refills: order the pool by tier (stable, so
     // survivors keep precedence inside a tier) and the take forms
     // the most tier-pure cohort the pool allows — higher tiers
-    // decode in cohorts the tier-aware arbiters can favor.
-    if (classesActive_)
+    // decode in cohorts the tier-aware arbiters can favor. One tier
+    // has nothing to order.
+    if (tiers_.size() > 1)
         std::stable_sort(readyPool_.begin(), readyPool_.end(),
                          [](const Active &a, const Active &b) {
                              return a.request.cls.tier <
@@ -678,42 +644,32 @@ ServingEngine::takeFairShare(std::vector<Active> &into)
 void
 ServingEngine::refreshTiersInFlight()
 {
-    scanTiersInFlight_.clear();
+    for (auto &kv : tiers_)
+        kv.second.decoding = false;
     for (const auto &c : cohorts_)
         for (const auto &m : c.members)
-            scanTiersInFlight_.insert(m.request.cls.tier);
+            m.tier->decoding = true;
 }
 
 bool
 ServingEngine::classGateDefers(const RequestClass &cls)
 {
     // A prefill of tier T defers while any tier T' <= T (equal or
-    // higher priority) exceeds its own target on its own window, so
+    // higher priority) exceeds its own target on its own window — the
+    // nearest-rank p95 over its most recent decode token gaps — so
     // admitting lower-priority work can never break a higher tier's
     // SLO, while a high-priority prefill is not held hostage by a
     // struggling lower tier. A tier's gate may only bind while its
     // own gaps can still be produced (decode in flight), or a stale
-    // window would deadlock that tier's admissions.
-    if (!policy_->needsGapSignal())
-        return !policy_->admitPrefill(0.0, 0, inFlightCount() > 0);
-    // Budgets configured but every request default-class: there
-    // are no per-tier windows, so the gate reads the global one
-    // exactly as the single-class path does — the nearest-rank p95
-    // over the most recent window of decode token gaps, streamed in
-    // O(log W) per gap by the windowed quantile.
-    if (tiers_.empty())
-        return !policy_->admitPrefill(
-            gapWindow_ ? gapWindow_->value() : 0.0,
-            gapWindow_ ? gapWindow_->size() : 0, inFlightCount() > 0);
+    // window would deadlock that tier's admissions. A default-class
+    // run has tier 0 alone, so its gate reads every gap.
     for (auto &kv : tiers_) {
         if (kv.first > cls.tier)
             break; // ascending map: only tiers <= T guard T
         const TierState &ts = kv.second;
-        if (!ts.window)
-            continue;
-        if (!policy_->admitPrefillAt(
-                ts.window->value(), ts.window->size(),
-                scanTiersInFlight_.count(kv.first) > 0, ts.target))
+        if (ts.window &&
+            !policy_->admitPrefillAt(ts.window->value(), ts.window->size(),
+                                     ts.decoding, ts.target))
             return true;
     }
     return false;
@@ -813,7 +769,7 @@ ServingEngine::startCycle(Cohort &c, double ready)
     // its members, so a mixed cohort is arbitrated at the
     // priority of its most latency-sensitive member.
     std::uint32_t cohort_tier = 0;
-    if (classesActive_ && !c.members.empty()) {
+    if (!c.members.empty()) {
         cohort_tier = c.members.front().request.cls.tier;
         for (const Active &m : c.members)
             cohort_tier = std::min(cohort_tier, m.request.cls.tier);
@@ -947,21 +903,6 @@ ServingEngine::prepare()
     if (prepared_)
         fatal("ServingEngine::prepare() called twice");
     prepared_ = true;
-    // Policies steering on the gap signal read a streaming windowed
-    // p95 (fed by advanceMember) instead of copying and sorting the
-    // window every decode cycle. With request classes attached the
-    // gate is per tier: each tier gets its own window, judged
-    // against its own target (advanceMember routes gaps by tier).
-    if (policy_->needsGapSignal() && options_.sched.sloWindow > 0) {
-        if (classesActive_) {
-            for (auto &kv : tiers_)
-                kv.second.window = std::make_unique<WindowedQuantile>(
-                    options_.sched.sloWindow, 95.0);
-        } else {
-            gapWindow_ = std::make_unique<WindowedQuantile>(
-                options_.sched.sloWindow, 95.0);
-        }
-    }
     armArrivalEvent();
     formNewCohorts(0.0);
 }
@@ -994,32 +935,26 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
         fatal("ServingEngine::declareWorkload() after prepare()");
     requireSortedByArrival(trace, "ServingEngine::declareWorkload");
     // Activation scan over a trace whose requests arrive later (the
-    // constructor passes its own list): flip the class/tenant
-    // machinery on and fix per-tier SLO targets before prepare()
-    // allocates the per-tier windows. Per-tier request counts stay
-    // zero — registerInjected counts what this engine actually
-    // receives.
+    // constructor passes its own list): create the tiers with their
+    // SLO targets and flip the tenant machinery on. Per-tier request
+    // counts stay zero — registerInjected counts what this engine
+    // actually receives.
     for (const auto &timed : trace) {
         const RequestClass &cls = timed.request.cls;
         if (!cls.isDefault())
             classesActive_ = true;
         if (cls.tenant != 0)
             tenantsActive_ = true;
+        TierState &ts = tierState(cls.tier);
+        // First explicit per-class target wins; tiers without one
+        // are judged against the policy-wide default.
+        if (ts.target == 0.0 && cls.gapSloSeconds > 0.0)
+            ts.target = cls.gapSloSeconds;
     }
+    for (auto &kv : tiers_)
+        if (kv.second.target == 0.0)
+            kv.second.target = options_.sched.sloTargetGapSeconds;
     tenantsActive_ = tenantsActive_ || budgetsActive_;
-    if (classesActive_) {
-        for (const auto &timed : trace) {
-            const RequestClass &cls = timed.request.cls;
-            TierState &ts = tiers_[cls.tier];
-            // First explicit per-class target wins; tiers without
-            // one are judged against the policy-wide default.
-            if (ts.target == 0.0 && cls.gapSloSeconds > 0.0)
-                ts.target = cls.gapSloSeconds;
-        }
-        for (auto &kv : tiers_)
-            if (kv.second.target == 0.0)
-                kv.second.target = options_.sched.sloTargetGapSeconds;
-    }
     if (tenantsActive_)
         for (const auto &timed : trace)
             (void)tenants_[timed.request.cls.tenant];
@@ -1087,27 +1022,32 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
 void
 ServingEngine::registerInjected(const TimedRequest &timed)
 {
-    // The per-request share of the class/tenant bookkeeping: count
-    // the request into its tier and touch its tenant. Inert on the
-    // default-class, no-budget path.
+    // The per-request share of the tier/tenant bookkeeping: count
+    // the request into its tier (a tier first seen here takes its
+    // class target, else the policy default) and touch its tenant.
     const RequestClass &cls = timed.request.cls;
-    if (classesActive_) {
-        TierState &ts = tiers_[cls.tier];
-        ++ts.requests;
-        if (ts.target == 0.0)
-            ts.target = cls.gapSloSeconds > 0.0
-                            ? cls.gapSloSeconds
-                            : options_.sched.sloTargetGapSeconds;
-        // A tier first seen mid-run still gets its SLO window when
-        // the policy steers on the gap signal (declared tiers get
-        // theirs in prepare).
-        if (!ts.window && policy_->needsGapSignal() &&
-            options_.sched.sloWindow > 0)
-            ts.window = std::make_unique<WindowedQuantile>(
-                options_.sched.sloWindow, 95.0);
-    }
+    TierState &ts = tierState(cls.tier);
+    ++ts.requests;
+    if (ts.target == 0.0)
+        ts.target = cls.gapSloSeconds > 0.0
+                        ? cls.gapSloSeconds
+                        : options_.sched.sloTargetGapSeconds;
     if (tenantsActive_)
         (void)tenants_[cls.tenant];
+}
+
+ServingEngine::TierState &
+ServingEngine::tierState(unsigned tier)
+{
+    // Policies steering on the gap signal read each tier's streaming
+    // windowed p95 (fed by advanceMember) instead of copying and
+    // sorting the window every decode cycle.
+    TierState &ts = tiers_[tier];
+    if (!ts.window && policy_->needsGapSignal() &&
+        options_.sched.sloWindow > 0)
+        ts.window = std::make_unique<WindowedQuantile>(
+            options_.sched.sloWindow, 95.0);
+    return ts;
 }
 
 void
@@ -1295,16 +1235,28 @@ ServingEngine::finalize()
         result_.sharedKvPeakBytes = prefixSharedPeak_;
         result_.uniqueKvPeakBytes = prefixUniquePeak_;
     }
-    return summarize({this});
+    // The summary scratch comes and goes before the maps change
+    // hands; moving them allocates nothing and keeps their order.
+    EngineResult out = summarize({this});
+    out.firstTokenLatency = std::move(result_.firstTokenLatency);
+    out.completionSeconds = std::move(result_.completionSeconds);
+    return out;
 }
 
 EngineResult
 ServingEngine::summarize(const std::vector<ServingEngine *> &engines)
 {
+    using Parts = std::vector<std::vector<double> *>;
+    auto addParts = [](Parts &parts, Samples &s) {
+        for (std::vector<double> &chunk : s.chunks)
+            parts.push_back(&chunk);
+    };
     // Ratios: the engines' integrals and channel-cycles, summed.
     double batch_time = 0.0, capacity_time = 0.0, engine_seconds = 0.0;
     double mac_busy = 0.0, mac_span = 0.0;
-    std::vector<Samples *> latencies, ttfts, gaps;
+    double latency_sum = 0.0, ttft_sum = 0.0, gap_sum = 0.0;
+    bool classes = false;
+    Parts latencies, ttfts, gaps;
     std::map<unsigned, std::vector<TierState *>> tiers;
     std::map<unsigned, EngineResult::TenantOccupancy> tenants;
     for (ServingEngine *e : engines) {
@@ -1313,13 +1265,17 @@ ServingEngine::summarize(const std::vector<ServingEngine *> &engines)
         engine_seconds += e->endTime_;
         mac_busy += e->macBusyCycles_;
         mac_span += e->macSpanCycles_;
-        latencies.push_back(&e->latencies_);
-        ttfts.push_back(&e->firstTokenLatencies_);
-        gaps.push_back(&e->tokenGaps_);
-        // tiers_ is empty unless classes are active, tenants_ unless
-        // tenants are tracked.
-        for (auto &kv : e->tiers_)
+        latency_sum += e->latencies_.sum;
+        ttft_sum += e->ttftSum_;
+        gap_sum += e->gapSum_;
+        addParts(latencies, e->latencies_);
+        classes = classes || e->classesActive_;
+        for (auto &kv : e->tiers_) {
+            addParts(ttfts, kv.second.ttfts);
+            addParts(gaps, kv.second.gaps);
             tiers[kv.first].push_back(&kv.second);
+        }
+        // tenants_ is empty unless tenants are tracked.
         for (const auto &kv : e->tenants_) {
             EngineResult::TenantOccupancy &to = tenants[kv.first];
             to.tenant = kv.first;
@@ -1334,45 +1290,49 @@ ServingEngine::summarize(const std::vector<ServingEngine *> &engines)
         }
     }
 
-    // Mean over the summed running sums and one nearest-rank
-    // selection over the sample vectors: O(n), no merged copy.
-    auto summarize_samples = [](const std::vector<Samples *> &parts,
-                                double &avg, double &p95) {
-        double sum = 0.0;
+    // Mean from the running sum and one nearest-rank selection over
+    // the sample chunks: O(n), no merged copy. The top level selects
+    // over every tier's chunks, so it sees each sample exactly once.
+    auto summarize_samples = [](double sum, const Parts &parts, double &avg,
+                                double &p95) {
         std::size_t n = 0;
-        std::vector<std::vector<double> *> values;
-        for (Samples *s : parts) {
-            sum += s->sum;
-            n += s->values.size();
-            values.push_back(&s->values);
-        }
+        for (const std::vector<double> *v : parts)
+            n += v->size();
         if (n == 0)
             return;
         avg = sum / static_cast<double>(n);
-        p95 = nearestRankPercentileInPlace(values, 95.0);
+        p95 = nearestRankPercentileInPlace(parts, 95.0);
     };
     EngineResult agg;
-    summarize_samples(latencies, agg.avgRequestLatency,
+    summarize_samples(latency_sum, latencies, agg.avgRequestLatency,
                       agg.p95RequestLatency);
-    summarize_samples(ttfts, agg.avgFirstTokenSeconds,
+    summarize_samples(ttft_sum, ttfts, agg.avgFirstTokenSeconds,
                       agg.p95FirstTokenSeconds);
-    summarize_samples(gaps, agg.avgTokenGapSeconds, agg.p95TokenGapSeconds);
+    summarize_samples(gap_sum, gaps, agg.avgTokenGapSeconds,
+                      agg.p95TokenGapSeconds);
+    // Per-tier rows are published only when some request carries a
+    // non-default class; a default-class run is its tier 0 alone.
+    if (!classes)
+        tiers.clear();
     agg.classLatencies.reserve(tiers.size());
     for (auto &kv : tiers) {
         EngineResult::ClassLatency cl;
         cl.tier = kv.first;
-        std::vector<Samples *> tier_ttfts, tier_gaps;
+        double ttft_sum_tier = 0.0, gap_sum_tier = 0.0;
+        Parts tier_ttfts, tier_gaps;
         for (TierState *ts : kv.second) {
             cl.gapSloTargetSeconds =
                 std::max(cl.gapSloTargetSeconds, ts->target);
             cl.requests += ts->requests;
             cl.completedRequests += ts->completed;
-            tier_ttfts.push_back(&ts->ttfts);
-            tier_gaps.push_back(&ts->gaps);
+            ttft_sum_tier += ts->ttfts.sum;
+            gap_sum_tier += ts->gaps.sum;
+            addParts(tier_ttfts, ts->ttfts);
+            addParts(tier_gaps, ts->gaps);
         }
-        summarize_samples(tier_ttfts, cl.avgFirstTokenSeconds,
+        summarize_samples(ttft_sum_tier, tier_ttfts, cl.avgFirstTokenSeconds,
                           cl.p95FirstTokenSeconds);
-        summarize_samples(tier_gaps, cl.avgTokenGapSeconds,
+        summarize_samples(gap_sum_tier, tier_gaps, cl.avgTokenGapSeconds,
                           cl.p95TokenGapSeconds);
         agg.classLatencies.push_back(cl);
     }
@@ -1383,18 +1343,7 @@ ServingEngine::summarize(const std::vector<ServingEngine *> &engines)
         agg.tenantOccupancy.push_back(kv.second);
     }
 
-    // Counters, energies, maxima and the per-request maps. Folded
-    // before the scratch above, the maps left it in heap holes that
-    // raised peak RSS by ~2 MB on a 22 MB engine run. A lone engine's
-    // maps are copied whole, keeping their iteration order.
-    auto merge = [](std::unordered_map<RequestId, double> &into,
-                    const std::unordered_map<RequestId, double> &from) {
-        if (into.empty())
-            into = from;
-        else
-            for (const auto &kv : from)
-                into[kv.first] = kv.second;
-    };
+    // Counters, energies and maxima.
     for (const ServingEngine *e : engines) {
         const EngineResult &r = e->result_;
         agg.simulatedSeconds =
@@ -1408,8 +1357,6 @@ ServingEngine::summarize(const std::vector<ServingEngine *> &engines)
         agg.attentionEnergy += r.attentionEnergy;
         agg.fcEnergy += r.fcEnergy;
         agg.prefillSeconds += r.prefillSeconds;
-        merge(agg.firstTokenLatency, r.firstTokenLatency);
-        merge(agg.completionSeconds, r.completionSeconds);
         agg.sloDeferrals += r.sloDeferrals;
         agg.chunkSlices += r.chunkSlices;
         agg.decodeOvertakes += r.decodeOvertakes;

@@ -287,11 +287,11 @@ class ServingEngine
     /**
      * Pre-declare the class/tenant shape of a workload whose
      * requests will be delivered later through injectArrivals():
-     * activates the request-class and tenant bookkeeping (per-tier
-     * SLO targets, tenant states); the constructor runs it over its
-     * own request list. Must run before prepare(); a
-     * purely default-class trace leaves the engine bit-identical to
-     * an undeclared one.
+     * creates the tiers with their SLO targets and activates the
+     * tenant bookkeeping; the constructor runs it over its own
+     * request list. Must run before prepare(); a purely
+     * default-class trace leaves the engine bit-identical to an
+     * undeclared one.
      */
     void declareWorkload(const std::vector<TimedRequest> &trace);
 
@@ -313,10 +313,9 @@ class ServingEngine
 
     /**
      * Schedule the initial events (constructor-supplied arrivals,
-     * first cohorts) and size the SLO windows. After
-     * prepare() the engine is a resumable sub-simulation: advance it
-     * with advanceTo(), feed it with injectArrivals(), and close it
-     * with finalize().
+     * first cohorts). After prepare() the engine is a resumable
+     * sub-simulation: advance it with advanceTo(), feed it with
+     * injectArrivals(), and close it with finalize().
      */
     void prepare();
 
@@ -409,7 +408,8 @@ class ServingEngine
 
     /**
      * Close a prepared run: collect the per-stage policy metrics and
-     * return summarize({this}) — the tail run() executes after its
+     * return summarize({this}) with the per-request maps moved in
+     * (the engine keeps no copy) — the tail run() executes after its
      * event loop drains. Call once, after the final advanceTo().
      */
     EngineResult finalize();
@@ -434,20 +434,64 @@ class ServingEngine
     /**
      * The one summary rule over finalized engines, in engine order
      * (finalize() returns it over {this}, FleetEngine over its
-     * replicas): counters and energies summed, maxima taken,
-     * per-request maps merged (a later engine overwrites a key);
-     * averages and nearest-rank p95s over the engines' own samples,
-     * reordered in place; ratios as sums over sums (see FleetResult).
+     * replicas): counters and energies summed, maxima taken;
+     * averages from the running sums and nearest-rank p95s over the
+     * engines' tier samples, reordered in place (top-level over every
+     * tier, classLatencies per tier); ratios as sums over sums (see
+     * FleetResult). The per-request maps are left to the caller:
+     * finalize() hands its own over, FleetEngine merges the
+     * replicas'.
      */
     static EngineResult summarize(const std::vector<ServingEngine *> &engines);
 
-    /** One latency metric's samples and their running sum. */
+    /**
+     * One latency metric's samples, in fixed-size chunks, and their
+     * running sum. A long run's gaps (4M on a 16000-request decode
+     * trace) never need one contiguous block: each chunk is a heap
+     * block any earlier run's freed chunk fits, so back-to-back runs
+     * in one process reuse the same memory instead of growing the
+     * heap whenever a run's big block no longer fits a free hole.
+     * No chunk reallocates once started.
+     */
     struct Samples
     {
-        std::vector<double> values;
+        static constexpr std::size_t kChunk = 8192;
+
+        std::vector<std::vector<double>> chunks;
         double sum = 0.0;
 
-        void add(double v) { values.push_back(v); sum += v; }
+        void
+        add(double v)
+        {
+            if (chunks.empty() || chunks.back().size() == kChunk) {
+                chunks.emplace_back();
+                chunks.back().reserve(kChunk);
+            }
+            chunks.back().push_back(v);
+            sum += v;
+        }
+    };
+
+    /**
+     * One latency tier: the engine's only TTFT/gap sample store and
+     * SLO window. A default-class run is a one-tier run (tier 0,
+     * judged against SchedPolicyConfig::sloTargetGapSeconds).
+     */
+    struct TierState
+    {
+        /** Gap SLO target (class target, else the policy default). */
+        double target = 0.0;
+
+        std::uint64_t requests = 0;
+        std::uint64_t completed = 0;
+        Samples ttfts;
+        Samples gaps;
+
+        /** Windowed p95 of the tier's gaps (gap-steered policies). */
+        std::unique_ptr<WindowedQuantile> window;
+
+        /** A member decodes in some cohort (hoisted per gated scan). */
+        bool decoding = false;
     };
 
     struct Active
@@ -481,6 +525,9 @@ class ServingEngine
 
         /** Tokens tenantReserve charged; tenantRelease refunds them. */
         double tenantCharge = 0.0;
+
+        /** The request's tier, resolved once at admission. */
+        TierState *tier = nullptr;
     };
 
     /** One in-flight decode cohort (micro-batch). */
@@ -595,10 +642,10 @@ class ServingEngine
      *  one, into @p into. */
     void takeFairShare(std::vector<Active> &into);
 
-    /** Hoist the per-scan tier in-flight flags (class gate). */
+    /** Hoist the per-scan TierState::decoding flags (SLO gate). */
     void refreshTiersInFlight();
 
-    /** Per-class SLO admission gate (see classGateDefers notes). */
+    /** Per-tier SLO admission gate (see classGateDefers notes). */
     bool classGateDefers(const RequestClass &cls);
 
     /** Submit an admitted request's chunked prefill sequence. */
@@ -623,8 +670,12 @@ class ServingEngine
      */
     void armArrivalEvent();
 
-    /** Per-request class/tenant bookkeeping of an arriving request. */
+    /** Per-request tier/tenant bookkeeping of an arriving request. */
     void registerInjected(const TimedRequest &timed);
+
+    /** @p tier's state, created on first use with an SLO window when
+     *  the policy steers on the gap signal. */
+    TierState &tierState(unsigned tier);
 
     /**
      * Release the successor turn of @p completed (if any) as an
@@ -634,24 +685,9 @@ class ServingEngine
      */
     void releaseNextTurn(RequestId completed, double now);
 
-    // --- Request-class / tenant-budget machinery (inactive — and
-    // --- bit-transparent — when the workload is single-class and no
-    // --- budgets are configured). -----------------------------------
-
-    /** Per-tier sample store and (optional) sliding SLO window. */
-    struct TierState
-    {
-        /** Gap SLO target (class target, else the policy default). */
-        double target = 0.0;
-
-        std::uint64_t requests = 0;
-        std::uint64_t completed = 0;
-        Samples ttfts;
-        Samples gaps;
-
-        /** Per-tier windowed p95 (gap-steered policies only). */
-        std::unique_ptr<WindowedQuantile> window;
-    };
+    // --- Tenant-budget machinery (inactive — and bit-transparent —
+    // --- when no request names a tenant and no budgets are
+    // --- configured). -------------------------------------------------
 
     /** Admission-budget accounting of one tenant. */
     struct TenantState
@@ -725,8 +761,11 @@ class ServingEngine
     std::unique_ptr<PimModuleModel> module_;
     std::unique_ptr<XpuModel> xpu_;
     Samples latencies_;
-    Samples firstTokenLatencies_;
-    Samples tokenGaps_;
+
+    /** Running TTFT and gap sums over every tier, in production
+     *  order (the top-level averages; the samples live per tier). */
+    double ttftSum_ = 0.0;
+    double gapSum_ = 0.0;
 
     /**
      * Declared-but-unreleased successor turns, keyed by the
@@ -734,7 +773,8 @@ class ServingEngine
      */
     SessionBook sessions_;
 
-    /** Any request carries a non-default class (tiers in play). */
+    /** Any request carries a non-default class: publish
+     *  EngineResult::classLatencies. */
     bool classesActive_ = false;
 
     /** EngineOptions::tenantBudgets is non-empty. */
@@ -746,21 +786,17 @@ class ServingEngine
     /** KV capacity in tokens (budget shares are fractions of it). */
     double capacityTokens_ = 0.0;
 
-    /** Per-tier state, keyed ascending (classes active only). */
+    /**
+     * Per-tier state, keyed ascending; one entry per tier declared
+     * or injected (tier 0 alone on a default-class run). Nodes are
+     * never erased, so Active::tier stays valid. advanceMember feeds
+     * each tier's window as gaps are produced, so the admission gate
+     * reads the windowed percentile in O(1).
+     */
     std::map<unsigned, TierState> tiers_;
 
     /** Per-tenant state, keyed ascending (tenants active only). */
     std::map<unsigned, TenantState> tenants_;
-
-    /**
-     * Streaming p95 over the sliding SLO window of decode token
-     * gaps; allocated in prepare() only when the policy steers
-     * on the gap signal. advanceMember feeds it as gaps are
-     * produced, so the admission gate reads the windowed percentile
-     * in O(1) instead of copying and sorting the window per decode
-     * cycle.
-     */
-    std::unique_ptr<WindowedQuantile> gapWindow_;
 
     /** Per-cycle scratch for planCohortCycle's attention jobs. */
     std::vector<AttentionJob> jobsScratch_;
@@ -847,9 +883,6 @@ class ServingEngine
     /** An arrival event is scheduled (at arrivalArmedAt_). */
     bool arrivalArmed_ = false;
     double arrivalArmedAt_ = 0.0;
-
-    /** Hoisted per-admission-scan tier in-flight flags. */
-    std::set<unsigned> scanTiersInFlight_;
 
     EngineResult result_;
 };

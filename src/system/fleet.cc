@@ -170,7 +170,9 @@ FleetEngine::run()
     drive();
 
     // The engine's own summary rule over all replicas at once, read
-    // before the engines go.
+    // before the engines go. finalize() hands each replica's
+    // per-request maps over; the aggregate merges them in replica
+    // order (a later replica overwrites a key).
     fleet.replicas.reserve(R);
     std::vector<ServingEngine *> replicas;
     for (auto &eng : engines_) {
@@ -179,6 +181,18 @@ FleetEngine::run()
     }
     fleet.aggregate = ServingEngine::summarize(replicas);
     engines_.clear();
+    auto merge = [](std::unordered_map<RequestId, double> &into,
+                    const std::unordered_map<RequestId, double> &from) {
+        if (into.empty())
+            into = from;
+        else
+            for (const auto &kv : from)
+                into[kv.first] = kv.second;
+    };
+    for (const EngineResult &r : fleet.replicas) {
+        merge(fleet.aggregate.firstTokenLatency, r.firstTokenLatency);
+        merge(fleet.aggregate.completionSeconds, r.completionSeconds);
+    }
     for (auto &cl : fleet.aggregate.classLatencies)
         cl.requests -= tierRetries_[cl.tier];
 

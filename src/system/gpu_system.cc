@@ -74,8 +74,9 @@ runGpuServing(const GpuSystemConfig &config, const LlmConfig &model,
     };
 
     admit();
-    std::uint64_t guard = 0;
-    while (!active.empty() && guard++ < 1000000) {
+    const std::uint64_t max_steps = 1000000;
+    std::uint64_t steps = 0;
+    while (!active.empty() && steps++ < max_steps) {
         double sec = gpuStepSeconds(config, model, active);
         seconds += sec;
         batch_time += sec * static_cast<double>(active.size());
@@ -93,6 +94,10 @@ runGpuServing(const GpuSystemConfig &config, const LlmConfig &model,
         active = std::move(next);
         admit();
     }
+    out.truncated = !active.empty();
+    if (out.truncated)
+        warn("GPU baseline stopped at the step cap (%llu)",
+             static_cast<unsigned long long>(max_steps));
 
     if (seconds > 0.0) {
         out.tokensPerSecond =

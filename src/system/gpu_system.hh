@@ -34,11 +34,16 @@ struct GpuRunResult
     double tokensPerSecond = 0.0;
     double avgBatch = 0.0;
     std::uint64_t generatedTokens = 0;
+
+    /** The run stopped at the step cap with requests still decoding:
+     *  the numbers cover only the steps served before it. */
+    bool truncated = false;
 };
 
 /**
  * Decode-serving simulation on the GPU baseline with continuous
- * batching and paged-attention admission.
+ * batching and paged-attention admission, capped at 1,000,000 decode
+ * steps (a capped run warns and sets GpuRunResult::truncated).
  */
 GpuRunResult runGpuServing(const GpuSystemConfig &config,
                            const LlmConfig &model,

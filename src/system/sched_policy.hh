@@ -23,9 +23,10 @@
  *  - SloAdmission: FIFO on the timeline, but admission-time gating —
  *    new prefills are deferred while the observed p95 decode token
  *    gap (over a sliding window) exceeds a target, trading TTFT for
- *    a bounded decode SLO. With request classes attached (see
- *    workload/request_class.hh) the gate is per tier: each tier gets
- *    its own sliding window judged against its own target.
+ *    a bounded decode SLO. The gate is per tier (see
+ *    workload/request_class.hh): each tier gets its own sliding
+ *    window judged against its own target, and a default-class
+ *    workload is the one-tier case.
  *  - TierPriority: strict latency-tier bands — decode FC shares of a
  *    higher tier (lower number) overtake lower-tier decode items as
  *    well as prefill chunks, and in-flight lower-band work is
@@ -137,34 +138,23 @@ class SchedPolicy : public sim::QueueArbiter
     virtual bool reordersXpu() const { return false; }
 
     /**
-     * True when admitPrefill() steers on the observed gap p95, so
-     * the engine only pays for the windowed percentile when a policy
-     * consumes it.
+     * True when admitPrefillAt() steers on the observed gap p95, so
+     * the engine only keeps per-tier SLO windows (and only runs the
+     * gate) when a policy consumes them.
      */
     virtual bool needsGapSignal() const { return false; }
 
     /**
-     * Admission gate for a new prefill. @p observed_p95_gap is the
-     * windowed p95 decode token gap over @p gap_samples recent
-     * samples; @p decode_in_flight tells whether any cohort is
+     * Admission gate for a new prefill, asked once per tier that
+     * guards it (the tier itself and every better one; a
+     * default-class run has tier 0 alone). @p observed_p95_gap is the
+     * tier's windowed p95 decode token gap over @p gap_samples recent
+     * samples, judged against its @p target_gap (the tier's
+     * RequestClass::gapSloSeconds, else sloTargetGapSeconds);
+     * @p decode_in_flight tells whether the tier has a request
      * decoding (a gate must never bind with nothing decoding, or
-     * admission could deadlock). @return false to defer.
-     */
-    virtual bool
-    admitPrefill(double observed_p95_gap, std::size_t gap_samples,
-                 bool decode_in_flight) const
-    {
-        return admitPrefillAt(observed_p95_gap, gap_samples,
-                              decode_in_flight,
-                              config_.sloTargetGapSeconds);
-    }
-
-    /**
-     * Per-class admission gate: like admitPrefill(), but against an
-     * explicit @p target_gap — the engine calls this once per tier
-     * whose windowed p95 guards the candidate prefill, passing each
-     * tier's own RequestClass::gapSloSeconds target. The base policy
-     * never defers.
+     * admission could deadlock). @return false to defer. The base
+     * policy never defers.
      */
     virtual bool
     admitPrefillAt(double observed_p95_gap, std::size_t gap_samples,

@@ -86,6 +86,21 @@ TEST(GpuSystem, UnservableRequestsDropped)
     EXPECT_EQ(r.generatedTokens, 8u); // only the feasible one
 }
 
+TEST(GpuSystem, StepCapIsLoud)
+{
+    // A decode longer than the 1,000,000-step cap stops there and
+    // says so; a run that finishes is not flagged.
+    auto model = LlmConfig::llm7b(true);
+    GpuSystemConfig cfg;
+    cfg.nGpus = 8;
+    auto capped = runGpuServing(cfg, model, {{0, 1000, 1000001}});
+    EXPECT_TRUE(capped.truncated);
+    EXPECT_EQ(capped.generatedTokens, 1000000u);
+    auto whole = runGpuServing(cfg, model, {{0, 1000, 8}});
+    EXPECT_FALSE(whole.truncated);
+    EXPECT_EQ(whole.generatedTokens, 8u);
+}
+
 TEST(GpuSystem, GqaNarrowsTheAttentionCost)
 {
     // With g=4 the KV scan shrinks 4x, so GQA raises GPU throughput

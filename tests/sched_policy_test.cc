@@ -72,16 +72,18 @@ TEST(SchedPolicy, SloGateBindsOnlyWithDecodeInFlight)
     cfg.sloMinSamples = 8;
     cfg.sloHeadroom = 0.7;
     auto policy = makeSchedPolicy(cfg);
+    const double target = cfg.sloTargetGapSeconds;
 
     // Gate open: nothing decoding, or too few samples, or gap OK.
-    EXPECT_TRUE(policy->admitPrefill(10.0, 100, false));
-    EXPECT_TRUE(policy->admitPrefill(10.0, 7, true));
-    EXPECT_TRUE(policy->admitPrefill(0.06, 100, true));
+    EXPECT_TRUE(policy->admitPrefillAt(10.0, 100, false, target));
+    EXPECT_TRUE(policy->admitPrefillAt(10.0, 7, true, target));
+    EXPECT_TRUE(policy->admitPrefillAt(0.06, 100, true, target));
     // Gate shut: headroom * target = 70 ms exceeded while decoding.
-    EXPECT_FALSE(policy->admitPrefill(0.0701, 100, true));
+    EXPECT_FALSE(policy->admitPrefillAt(0.0701, 100, true, target));
     // Other policies never defer.
     cfg.kind = SchedPolicyKind::Fifo;
-    EXPECT_TRUE(makeSchedPolicy(cfg)->admitPrefill(10.0, 100, true));
+    EXPECT_TRUE(
+        makeSchedPolicy(cfg)->admitPrefillAt(10.0, 100, true, target));
 }
 
 // --- Preemption re-planner. ------------------------------------------

@@ -17,7 +17,9 @@
  *      default class and no budgets, the engine's metrics are
  *      bit-identical to a run without classes (the PR 4 goldens in
  *      tests/engine_determinism_test.cc pin the same property
- *      against the recorded history);
+ *      against the recorded history), and a default-class run is the
+ *      one-tier run: a class differing only in its weight publishes
+ *      tier 0 and changes nothing else;
  *  (e) under budgets the admission scan looks past a budget-blocked
  *      borrower, so a preempted request requeued behind it is
  *      admitted and its tenant's entitlement never strands the
@@ -26,9 +28,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/stats.hh"
 #include "core/orchestrator.hh"
+#include "result_compare.hh"
 #include "sim/device.hh"
 #include "sim/event_queue.hh"
 #include "system/engine.hh"
@@ -546,39 +551,35 @@ TEST(SloClassesEngine, DefaultClassNoBudgetsIsBitIdentical)
     auto stamped = timed;
     for (auto &t : stamped)
         t.request.cls = RequestClass{};
+    // A class that differs from the default only in its (unused)
+    // weight: tier 0, no tenant, the policy's gap target. The engine
+    // publishes its one tier, and every other number matches, because
+    // a default-class run is exactly this one-tier run.
+    auto weighted = timed;
+    for (auto &t : weighted)
+        t.request.cls.weight = 2.0;
 
-    for (SchedPolicyKind kind :
-         {SchedPolicyKind::Fifo, SchedPolicyKind::ChunkPreempt,
-          SchedPolicyKind::SloAdmission}) {
+    for (SchedPolicyKind kind : allSchedPolicies()) {
+        SCOPED_TRACE(schedPolicyName(kind));
         SchedPolicyConfig sched;
         sched.kind = kind;
         auto a = runEngine(cluster, model, timed, 2048, sched);
         auto b = runEngine(cluster, model, stamped, 2048, sched);
+        auto c = runEngine(cluster, model, weighted, 2048, sched);
+        expectSameResult(a, b);
 
-        EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-        EXPECT_EQ(a.simulatedSeconds, b.simulatedSeconds);
-        EXPECT_EQ(a.generatedTokens, b.generatedTokens);
-        EXPECT_EQ(a.completedRequests, b.completedRequests);
-        EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
-        EXPECT_EQ(a.macUtilization, b.macUtilization);
-        EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
-        EXPECT_EQ(a.attentionSeconds, b.attentionSeconds);
-        EXPECT_EQ(a.fcSeconds, b.fcSeconds);
-        EXPECT_EQ(a.prefillSeconds, b.prefillSeconds);
-        EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency);
-        EXPECT_EQ(a.p95RequestLatency, b.p95RequestLatency);
-        EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds);
-        EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
-        EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
-        EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
-        EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
-        EXPECT_EQ(a.chunkSlices, b.chunkSlices);
-        EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);
-        EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds);
-        EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds);
-        EXPECT_EQ(a.simEvents, b.simEvents);
-        EXPECT_EQ(a.preemptions, b.preemptions);
-        EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
+        ASSERT_EQ(c.classLatencies.size(), 1u);
+        const auto &row = c.classLatencies.front();
+        EXPECT_EQ(row.tier, 0u);
+        EXPECT_EQ(row.gapSloTargetSeconds, sched.sloTargetGapSeconds);
+        EXPECT_EQ(row.requests, reqs.size());
+        EXPECT_EQ(row.completedRequests, a.completedRequests);
+        EXPECT_EQ(row.avgFirstTokenSeconds, a.avgFirstTokenSeconds);
+        EXPECT_EQ(row.p95FirstTokenSeconds, a.p95FirstTokenSeconds);
+        EXPECT_EQ(row.avgTokenGapSeconds, a.avgTokenGapSeconds);
+        EXPECT_EQ(row.p95TokenGapSeconds, a.p95TokenGapSeconds);
+        c.classLatencies.clear();
+        expectSameResult(a, c);
 
         // The additive surface stays empty and quiet.
         EXPECT_TRUE(a.classLatencies.empty());
@@ -587,6 +588,47 @@ TEST(SloClassesEngine, DefaultClassNoBudgetsIsBitIdentical)
         EXPECT_EQ(a.decodePreemptSlices, 0u);
         EXPECT_EQ(a.budgetDeferrals, 0u);
     }
+    // The SLO gate binds on this trace, so the one-tier gate is
+    // exercised, not just carried.
+    SchedPolicyConfig slo;
+    slo.kind = SchedPolicyKind::SloAdmission;
+    EXPECT_GT(runEngine(cluster, model, weighted, 2048, slo).sloDeferrals,
+              0u);
+}
+
+TEST(SloClassesEngine, TopLevelTtftSpansEveryTier)
+{
+    // The top-level p95 is selected over every tier's samples: it
+    // equals the nearest-rank p95 over the per-request TTFT map.
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    cluster.plan = ParallelPlan{cluster.nModules / 4, 4};
+    applyOptions(cluster, PimphonyOptions::all());
+
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 64; ++i) {
+        reqs.push_back({i, (i % 4 == 0) ? Tokens(30000) : Tokens(2000),
+                        24});
+        reqs.back().cls.tier = i % 2;
+        reqs.back().cls.gapSloSeconds = (i % 2) ? 200e-3 : 50e-3;
+    }
+    auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
+    SchedPolicyConfig sched;
+    sched.kind = SchedPolicyKind::SloAdmission;
+    auto r = runEngine(cluster, model, timed, 2048, sched);
+    ASSERT_EQ(r.classLatencies.size(), 2u);
+
+    std::vector<double> ttfts;
+    for (const auto &kv : r.firstTokenLatency)
+        ttfts.push_back(kv.second);
+    ASSERT_EQ(ttfts.size(), reqs.size());
+    std::sort(ttfts.begin(), ttfts.end());
+    EXPECT_EQ(r.p95FirstTokenSeconds, nearestRankPercentile(ttfts, 95.0));
+    double sum = 0.0;
+    for (double v : ttfts)
+        sum += v;
+    EXPECT_DOUBLE_EQ(r.avgFirstTokenSeconds,
+                     sum / static_cast<double>(ttfts.size()));
 }
 
 // --- Orchestrator wiring. ------------------------------------------------
