@@ -67,6 +67,14 @@ struct EnergyBreakdown
         return *this;
     }
 
+    bool
+    operator==(const EnergyBreakdown &o) const
+    {
+        return mac == o.mac && io == o.io && background == o.background &&
+               actPre == o.actPre && refreshE == o.refreshE &&
+               elseE == o.elseE;
+    }
+
     /** Scale all components (e.g. replicate across channels). */
     EnergyBreakdown
     scaled(double f) const

@@ -89,16 +89,6 @@ StagePipeline::onStageComplete(EventQueue &queue, Chain *ch, double t)
 }
 
 void
-StagePipeline::submitCycle(EventQueue &queue, const WorkItem &base,
-                           double ready, CompletionFn done)
-{
-    Chain *ch = acquireChain();
-    ch->items.assign(stages_.size(), base);
-    ch->done = std::move(done);
-    advanceChain(queue, ch, ready);
-}
-
-void
 StagePipeline::submitChain(EventQueue &queue,
                            const std::vector<WorkItem> &stage_items,
                            double ready, CompletionFn done)

@@ -64,21 +64,13 @@ class StagePipeline
     const Device &stage(unsigned s) const { return *stages_[s]; }
 
     /**
-     * Submit one full decode cycle for a cohort: @p base describes
-     * the cohort/cycle, with base.seconds (and base.fcSeconds) the
-     * per-stage service time. The chain enters stage 0 no earlier
-     * than @p ready; @p done fires at the last stage's completion.
-     */
-    void submitCycle(EventQueue &queue, const WorkItem &base,
-                     double ready, CompletionFn done);
-
-    /**
-     * Submit one traversal with heterogeneous per-stage items:
+     * Submit one traversal (e.g. a cohort's decode cycle):
      * @p stage_items[s] runs on stage s (stage indexes are stamped
-     * here). Size must equal stageCount(). Used for uneven layer
-     * splits, where the last stage owns the layer remainder. The
-     * items are copied into pooled chain storage; the caller's
-     * vector is reusable scratch.
+     * here), so uneven layer splits give the last stage the layer
+     * remainder. Size must equal stageCount(). The chain enters
+     * stage 0 no earlier than @p ready; @p done fires at the last
+     * stage's completion. The items are copied into pooled chain
+     * storage; the caller's vector is reusable scratch.
      */
     void submitChain(EventQueue &queue,
                      const std::vector<WorkItem> &stage_items,

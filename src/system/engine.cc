@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <list>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -60,8 +61,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     // PNM compute engines) land there.
     policy_ = makeSchedPolicy(options_.sched);
     stages_ = std::make_unique<StageDeviceSet>(
-        cluster_.plan.pp, *module_, xpu_.get(),
-        policy_->reordersXpu() ? policy_.get() : nullptr);
+        cluster_.plan.pp, policy_->reordersXpu() ? policy_.get() : nullptr);
     sortByArrival(requests);
     // Tenant budgets, then the tier/tenant registration a fleet
     // replica performs for its routed requests. The tenant side
@@ -921,13 +921,6 @@ ServingEngine::drained() const
     return queue_.empty();
 }
 
-double
-ServingEngine::nextEventTime() const
-{
-    return drained() ? std::numeric_limits<double>::infinity()
-                     : queue_.nextTime();
-}
-
 void
 ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
@@ -1208,21 +1201,19 @@ ServingEngine::finalize()
 
     // Per-policy observability off the stage timelines.
     for (unsigned s = 0; s < stages_->count(); ++s) {
-        XpuStageDevice *x = stages_->stage(s).xpu();
-        if (!x)
-            continue;
-        result_.chunkSlices += x->preemptionSlices() -
-                               x->decodePreemptionSlices();
-        result_.decodePreemptSlices += x->decodePreemptionSlices();
-        result_.decodeOvertakes += x->overtakes();
-        result_.tierInversions += x->tierInversions();
+        const XpuStageDevice &x = stages_->stage(s).xpu();
+        result_.chunkSlices += x.preemptionSlices() -
+                               x.decodePreemptionSlices();
+        result_.decodePreemptSlices += x.decodePreemptionSlices();
+        result_.decodeOvertakes += x.overtakes();
+        result_.tierInversions += x.tierInversions();
         result_.maxTierInversionWaitSeconds =
             std::max(result_.maxTierInversionWaitSeconds,
-                     x->maxTierInversionWaitSeconds());
+                     x.maxTierInversionWaitSeconds());
         result_.maxDecodeXpuWaitSeconds =
             std::max(result_.maxDecodeXpuWaitSeconds,
-                     x->maxDecodeWaitSeconds());
-        result_.xpuPrefillBusySeconds += x->prefillBusySeconds();
+                     x.maxDecodeWaitSeconds());
+        result_.xpuPrefillBusySeconds += x.prefillBusySeconds();
     }
 
     result_.simulatedSeconds = endTime_;
@@ -1343,44 +1334,21 @@ ServingEngine::summarize(const std::vector<ServingEngine *> &engines)
         agg.tenantOccupancy.push_back(kv.second);
     }
 
-    // Counters, energies and maxima.
-    for (const ServingEngine *e : engines) {
-        const EngineResult &r = e->result_;
-        agg.simulatedSeconds =
-            std::max(agg.simulatedSeconds, r.simulatedSeconds);
-        agg.generatedTokens += r.generatedTokens;
-        agg.completedRequests += r.completedRequests;
-        agg.rejectedRequests += r.rejectedRequests;
-        agg.preemptions += r.preemptions;
-        agg.attentionSeconds += r.attentionSeconds;
-        agg.fcSeconds += r.fcSeconds;
-        agg.attentionEnergy += r.attentionEnergy;
-        agg.fcEnergy += r.fcEnergy;
-        agg.prefillSeconds += r.prefillSeconds;
-        agg.sloDeferrals += r.sloDeferrals;
-        agg.chunkSlices += r.chunkSlices;
-        agg.decodeOvertakes += r.decodeOvertakes;
-        agg.maxDecodeXpuWaitSeconds = std::max(
-            agg.maxDecodeXpuWaitSeconds, r.maxDecodeXpuWaitSeconds);
-        agg.xpuPrefillBusySeconds += r.xpuPrefillBusySeconds;
-        agg.simEvents += r.simEvents;
-        agg.truncated = agg.truncated || r.truncated;
-        agg.budgetDeferrals += r.budgetDeferrals;
-        agg.tierInversions += r.tierInversions;
-        agg.maxTierInversionWaitSeconds =
-            std::max(agg.maxTierInversionWaitSeconds,
-                     r.maxTierInversionWaitSeconds);
-        agg.decodePreemptSlices += r.decodePreemptSlices;
-        agg.prefixHits += r.prefixHits;
-        agg.prefixMisses += r.prefixMisses;
-        agg.prefixEvictions += r.prefixEvictions;
-        agg.prefixCachedTokens += r.prefixCachedTokens;
-        agg.savedPrefillSeconds += r.savedPrefillSeconds;
-        agg.sharedKvPeakBytes =
-            std::max(agg.sharedKvPeakBytes, r.sharedKvPeakBytes);
-        agg.uniqueKvPeakBytes =
-            std::max(agg.uniqueKvPeakBytes, r.uniqueKvPeakBytes);
-    }
+    // Counters, energies and maxima: the Sum and Max rows of the
+    // metric table, folded in engine order. Only arithmetic rows can
+    // be maxima (the energies are sums).
+    forEachMetric([&](const char *, auto field, MetricRule rule) {
+        using T = std::remove_reference_t<decltype(agg.*field)>;
+        for (const ServingEngine *e : engines) {
+            const T &v = e->result_.*field;
+            if (rule == MetricRule::Sum)
+                agg.*field += v;
+            else if constexpr (std::is_arithmetic_v<T>) {
+                if (rule == MetricRule::Max)
+                    agg.*field = std::max(agg.*field, v);
+            }
+        }
+    });
     if (agg.simulatedSeconds > 0.0) {
         agg.tokensPerSecond = static_cast<double>(agg.generatedTokens) /
                               agg.simulatedSeconds;

@@ -261,6 +261,68 @@ struct EngineResult
     Bytes uniqueKvPeakBytes = 0;
 };
 
+/** How ServingEngine::summarize rolls one EngineResult field up. */
+enum class MetricRule {
+    Sum,     ///< added over the engines, in engine order
+    Max,     ///< the engines' largest value (truncated: true wins)
+    Derived, ///< recomputed from the engines' samples or integrals
+};
+
+/**
+ * Every scalar EngineResult field, once, with its roll-up rule:
+ * visit(name, &EngineResult::field, rule) per row, in declaration
+ * order. summarize() folds the Sum and Max rows, and the bit-identity
+ * comparator checks every row. The per-request maps, classLatencies
+ * and tenantOccupancy are handled by name. A new scalar field needs a
+ * row here; tests/result_compare.hh fails to build without one.
+ */
+template <class Visit>
+constexpr void
+forEachMetric(Visit &&visit)
+{
+#define PIMPHONY_METRIC(f, r) visit(#f, &EngineResult::f, MetricRule::r)
+    PIMPHONY_METRIC(tokensPerSecond, Derived);
+    PIMPHONY_METRIC(simulatedSeconds, Max);
+    PIMPHONY_METRIC(generatedTokens, Sum);
+    PIMPHONY_METRIC(completedRequests, Sum);
+    PIMPHONY_METRIC(rejectedRequests, Sum);
+    PIMPHONY_METRIC(preemptions, Sum);
+    PIMPHONY_METRIC(avgEffectiveBatch, Derived);
+    PIMPHONY_METRIC(macUtilization, Derived);
+    PIMPHONY_METRIC(capacityUtilization, Derived);
+    PIMPHONY_METRIC(attentionSeconds, Sum);
+    PIMPHONY_METRIC(fcSeconds, Sum);
+    PIMPHONY_METRIC(attentionEnergy, Sum);
+    PIMPHONY_METRIC(fcEnergy, Sum);
+    PIMPHONY_METRIC(prefillSeconds, Sum);
+    PIMPHONY_METRIC(avgRequestLatency, Derived);
+    PIMPHONY_METRIC(p95RequestLatency, Derived);
+    PIMPHONY_METRIC(avgFirstTokenSeconds, Derived);
+    PIMPHONY_METRIC(p95FirstTokenSeconds, Derived);
+    PIMPHONY_METRIC(avgTokenGapSeconds, Derived);
+    PIMPHONY_METRIC(p95TokenGapSeconds, Derived);
+    PIMPHONY_METRIC(sloDeferrals, Sum);
+    PIMPHONY_METRIC(chunkSlices, Sum);
+    PIMPHONY_METRIC(decodeOvertakes, Sum);
+    PIMPHONY_METRIC(maxDecodeXpuWaitSeconds, Max);
+    PIMPHONY_METRIC(xpuPrefillBusySeconds, Sum);
+    PIMPHONY_METRIC(simEvents, Sum);
+    PIMPHONY_METRIC(truncated, Max);
+    PIMPHONY_METRIC(budgetDeferrals, Sum);
+    PIMPHONY_METRIC(tierInversions, Sum);
+    PIMPHONY_METRIC(maxTierInversionWaitSeconds, Max);
+    PIMPHONY_METRIC(decodePreemptSlices, Sum);
+    PIMPHONY_METRIC(prefixHits, Sum);
+    PIMPHONY_METRIC(prefixMisses, Sum);
+    PIMPHONY_METRIC(prefixEvictions, Sum);
+    PIMPHONY_METRIC(prefixHitRate, Derived);
+    PIMPHONY_METRIC(prefixCachedTokens, Sum);
+    PIMPHONY_METRIC(savedPrefillSeconds, Sum);
+    PIMPHONY_METRIC(sharedKvPeakBytes, Max);
+    PIMPHONY_METRIC(uniqueKvPeakBytes, Max);
+#undef PIMPHONY_METRIC
+}
+
 class ServingEngine
 {
   public:
@@ -329,9 +391,6 @@ class ServingEngine
 
     /** No pending events (the sub-simulation is quiescent). */
     bool drained() const;
-
-    /** Earliest pending event time; +infinity when drained. */
-    double nextEventTime() const;
 
     /**
      * Deliver requests mid-run (router dispatch). Arrivals at or
@@ -434,10 +493,11 @@ class ServingEngine
     /**
      * The one summary rule over finalized engines, in engine order
      * (finalize() returns it over {this}, FleetEngine over its
-     * replicas): counters and energies summed, maxima taken;
-     * averages from the running sums and nearest-rank p95s over the
-     * engines' tier samples, reordered in place (top-level over every
-     * tier, classLatencies per tier); ratios as sums over sums (see
+     * replicas): the Sum and Max rows of forEachMetric folded in
+     * engine order, each Derived row recomputed: averages from the
+     * running sums and nearest-rank p95s over the engines' tier
+     * samples, reordered in place (top-level over every tier,
+     * classLatencies per tier); ratios as sums over sums (see
      * FleetResult). The per-request maps are left to the caller:
      * finalize() hands its own over, FleetEngine merges the
      * replicas'.

@@ -4,19 +4,17 @@
  *
  * A FaultSchedule scripts per-replica availability events — hard or
  * draining crashes, brown-outs (service-rate degradation), and
- * recoveries with a model-reload charge — that the fleet's health
- * state machine consumes at its window barriers. Schedules come from
- * two sources: hand-scripted event lists (scenario tests, the
- * crash-mid-decode accounting bench) and the seeded generative
- * MTBF/MTTR mode, which is a pure function of (spec, seed) exactly
- * like buildWorkload: same spec and seed, same schedule, on every
- * platform.
+ * recoveries with a model-reload charge — that the fleet consumes at
+ * its window barriers. Schedules come from two sources: hand-scripted
+ * event lists (scenario tests, the crash-mid-decode accounting bench)
+ * and the seeded generative MTBF/MTTR mode, which is a pure function
+ * of (spec, seed) exactly like buildWorkload: same spec and seed,
+ * same schedule, on every platform.
  *
  * The schedule itself is passive data. All timing semantics — when
  * an event takes effect relative to the fleet's conservative window
- * barriers, what happens to in-flight work — live in the fleet's
- * state machine (system/fleet.hh); an empty schedule never fires a
- * transition.
+ * barriers, what happens to in-flight work — live in the fleet
+ * (system/fleet.hh); an empty schedule never fires a transition.
  */
 
 #ifndef PIMPHONY_SYSTEM_FAULT_HH

@@ -22,19 +22,6 @@ routePolicyName(RoutePolicy policy)
     return "?";
 }
 
-std::string
-replicaHealthName(ReplicaHealth health)
-{
-    switch (health) {
-      case ReplicaHealth::Up:        return "up";
-      case ReplicaHealth::Degraded:  return "degraded";
-      case ReplicaHealth::Draining:  return "draining";
-      case ReplicaHealth::Down:      return "down";
-      case ReplicaHealth::Reloading: return "reloading";
-    }
-    return "?";
-}
-
 FleetEngine::FleetEngine(const ClusterConfig &cluster,
                          const LlmConfig &model,
                          std::vector<TimedRequest> trace,
@@ -163,7 +150,6 @@ FleetEngine::run()
     fleet.routedRequests.assign(R, 0);
     fleet.routedSessions.assign(R, 0);
     loads_.assign(R, 0.0);
-    health_.assign(R, ReplicaHealth::Up);
     routable_.assign(R, 1);
     downIntervals_.assign(R, {});
 
@@ -248,7 +234,7 @@ FleetEngine::drive()
     FleetResult &fleet = fleet_;
 
     // Normalize the schedule into one global transition list: each
-    // scripted event expands to its state-machine edges (a draining
+    // scripted event expands to its transitions (a draining
     // crash becomes DrainStart + Kill, a degrade becomes its start
     // and end, a recover its reload start and completion), sorted by
     // nominal time with ties broken by replica index (stable sort
@@ -389,7 +375,6 @@ FleetEngine::drive()
             std::size_t r = tr.replica;
             switch (tr.kind) {
               case kDrainStart:
-                health_[r] = ReplicaHealth::Draining;
                 set_unroutable(r, tr.at);
                 // Graceful drain: queued work migrates now,
                 // in-flight work keeps the grace period.
@@ -397,30 +382,24 @@ FleetEngine::drive()
                 drop_pins(r);
                 break;
               case kKill:
-                health_[r] = ReplicaHealth::Down;
                 set_unroutable(r, tr.at);
                 requeue(r, true, tr.at);
                 drop_pins(r);
                 break;
               case kDegradeStart:
-                if (health_[r] == ReplicaHealth::Up)
-                    health_[r] = ReplicaHealth::Degraded;
                 engines_[r]->setServiceRateScale(tr.value);
                 break;
               case kDegradeEnd:
-                if (health_[r] == ReplicaHealth::Degraded)
-                    health_[r] = ReplicaHealth::Up;
                 engines_[r]->setServiceRateScale(1.0);
                 break;
               case kReloadStart:
-                if (health_[r] == ReplicaHealth::Down)
-                    health_[r] = ReplicaHealth::Reloading;
+                // The replica stays unroutable until the reload is
+                // done; the transition only places its barrier.
                 break;
               case kReloadDone:
                 // Fresh process: full speed, accepting traffic.
                 engines_[r]->setServiceRateScale(1.0);
                 engines_[r]->restoreService();
-                health_[r] = ReplicaHealth::Up;
                 fleet.reloadSeconds += tr.value;
                 set_routable(r, tr.at);
                 break;

@@ -28,10 +28,12 @@
  * configured thread count.
  *
  * One drive loop serves every configuration. Replica faults
- * (system/fault.hh) are transitions of a per-replica health state
- * machine applied at the same barriers, and work they displace
- * re-enters the router as retries merged with the trace; a schedule
- * with no events simply never fires a transition.
+ * (system/fault.hh) expand to per-replica transitions applied at the
+ * same barriers: a crash or drain makes a replica unroutable, a
+ * completed reload routable again, a brown-out rescales its service
+ * rate. Work they displace re-enters the router as retries merged
+ * with the trace; a schedule with no events simply never fires a
+ * transition.
  */
 
 #ifndef PIMPHONY_SYSTEM_FLEET_HH
@@ -83,23 +85,6 @@ enum class RoutePolicy {
 
 std::string routePolicyName(RoutePolicy policy);
 
-/**
- * Per-replica health as the fleet's fault state machine sees it.
- * Transitions fire at window barriers (preserving the conservative
- * parallel protocol bit for bit):
- *
- *   Up --degrade--> Degraded --degrade end--> Up
- *   Up --crash(drain > 0)--> Draining --drain end--> Down
- *   Up --crash(drain = 0)--> Down
- *   Down --recover--> Reloading --reload done--> Up
- *
- * The router routes only to Up and Degraded replicas; Draining
- * replicas finish their in-flight work but receive nothing new.
- */
-enum class ReplicaHealth { Up, Degraded, Draining, Down, Reloading };
-
-std::string replicaHealthName(ReplicaHealth health);
-
 struct FleetOptions
 {
     /** Replica serving engines behind the router. */
@@ -126,7 +111,7 @@ struct FleetOptions
     EngineOptions engine;
 
     /**
-     * Fault injection (system/fault.hh): scripted health
+     * Fault injection (system/fault.hh): scripted replica
      * transitions, applied at the window barriers. Validated against
      * the fleet size at construction.
      */
@@ -318,10 +303,8 @@ class FleetEngine
     /** The result run() is building. */
     FleetResult fleet_;
 
-    /** Health state machine, one entry per replica. */
-    std::vector<ReplicaHealth> health_;
-
-    /** 1 while the replica accepts traffic (Up or Degraded). */
+    /** 1 while the replica accepts traffic: not draining, crashed
+     *  or reloading. */
     std::vector<char> routable_;
 
     /** Unroutable intervals per replica, by nominal fault time; an

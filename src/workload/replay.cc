@@ -302,15 +302,6 @@ loadWorkload(const std::string &path)
     return out;
 }
 
-void
-saveTrace(const std::string &path,
-          const std::vector<TimedRequest> &trace)
-{
-    BuiltWorkload workload;
-    workload.initial = trace;
-    saveWorkload(path, workload);
-}
-
 std::vector<TimedRequest>
 loadTrace(const std::string &path)
 {

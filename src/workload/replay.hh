@@ -43,10 +43,6 @@ void saveWorkload(const std::string &path,
 /** Read a workload saved by saveWorkload (fatal on parse errors). */
 BuiltWorkload loadWorkload(const std::string &path);
 
-/** Convenience: save a plain open-loop trace (no sessions). */
-void saveTrace(const std::string &path,
-               const std::vector<TimedRequest> &trace);
-
 /** Convenience: load the open-loop arrivals of a saved workload. */
 std::vector<TimedRequest> loadTrace(const std::string &path);
 

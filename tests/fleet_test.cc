@@ -19,13 +19,17 @@
  *      simulation are pinned at hex-float precision under zero and
  *      positive lookahead, across all three routing policies;
  *  (f) the aggregate follows the engine's summary rule: exact p95s
- *      over the merged samples, gap averages weighted by gap count.
+ *      over the merged samples, gap averages weighted by gap count,
+ *      and every metric row's Sum or Max rule over the replicas.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/stats.hh"
@@ -567,6 +571,64 @@ TEST(FleetEngine, AggregateSumsAndBoundsPerReplicaResults)
     // Least-loaded routing spreads work: every replica serves some.
     for (std::uint64_t n : fleet.routedRequests)
         EXPECT_GT(n, 0u);
+}
+
+TEST(FleetEngine, AggregateFollowsEveryMetricRowsRule)
+{
+    // Two replicas, one crash and tenant budgets: each Sum row of the
+    // aggregate is the replicas' values added in replica order, each
+    // Max row their largest. Mixed decode lengths stagger replica 1's
+    // completions, so its crash lands after some and before others.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 48; ++i) {
+        Request r{i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
+                  Tokens(4 + (i % 5) * 7)};
+        r.cls.tenant = i % 2;
+        reqs.push_back(r);
+    }
+    auto trace = poissonArrivals(reqs, 48.0, 27);
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.engine.tenantBudgets = {{0, 0.3}, {1, 0.5}};
+    fopts.faults.replicas.resize(2);
+    fopts.faults.replicas[1].push_back(crashAt(1.5));
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+    ASSERT_EQ(fleet.replicas.size(), 2u);
+    ASSERT_GT(fleet.retriedRequests, 0u); // the crash displaced work
+    ASSERT_EQ(fleet.aggregate.tenantOccupancy.size(), 2u);
+    for (const EngineResult &r : fleet.replicas)
+        ASSERT_GT(r.completedRequests, 0u);
+
+    std::set<std::string> names;
+    std::map<MetricRule, unsigned> rows;
+    forEachMetric([&](const char *name, auto field, MetricRule rule) {
+        using T = std::decay_t<decltype(fleet.aggregate.*field)>;
+        EXPECT_TRUE(names.insert(name).second) << name << " repeats";
+        ++rows[rule];
+        if (rule == MetricRule::Sum) {
+            T sum{};
+            for (const EngineResult &r : fleet.replicas)
+                sum += r.*field;
+            EXPECT_EQ(fleet.aggregate.*field, sum) << name;
+        }
+        if constexpr (std::is_arithmetic_v<T>) {
+            if (rule == MetricRule::Max) {
+                T max = fleet.replicas[0].*field;
+                for (const EngineResult &r : fleet.replicas)
+                    max = std::max(max, r.*field);
+                EXPECT_EQ(fleet.aggregate.*field, max) << name;
+            }
+        }
+    });
+    EXPECT_GT(rows[MetricRule::Sum], 0u);
+    EXPECT_GT(rows[MetricRule::Max], 0u);
+    EXPECT_GT(rows[MetricRule::Derived], 0u);
 }
 
 } // namespace

@@ -11,54 +11,70 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "system/engine.hh"
 
 namespace pimphony {
 
+/**
+ * Compile-time completeness guard. The structured binding names every
+ * EngineResult field, so adding a field fails to build here ("only 43
+ * names provided for structured binding"). Fix: give a new scalar
+ * field a forEachMetric row in system/engine.hh (the fold and this
+ * comparator pick it up), then add its name below and bump
+ * kEngineResultFields; a new non-scalar field also needs its own
+ * check in expectSameResult and its own rule in summarize().
+ */
+constexpr std::size_t kEngineResultFields = 43;
+constexpr std::size_t kNonScalarFields = 4; // maps, class/tenant rows
+
 inline void
-expectSameEnergy(const EnergyBreakdown &a, const EnergyBreakdown &b)
+engineResultFieldGuard(const EngineResult &r)
 {
-    EXPECT_EQ(a.mac, b.mac);
-    EXPECT_EQ(a.io, b.io);
-    EXPECT_EQ(a.background, b.background);
-    EXPECT_EQ(a.actPre, b.actPre);
-    EXPECT_EQ(a.refreshE, b.refreshE);
-    EXPECT_EQ(a.elseE, b.elseE);
+    [[maybe_unused]] const auto &[tokensPerSecond, simulatedSeconds,
+                                  generatedTokens, completedRequests,
+                                  rejectedRequests, preemptions,
+                                  avgEffectiveBatch, macUtilization,
+                                  capacityUtilization, attentionSeconds,
+                                  fcSeconds, attentionEnergy, fcEnergy,
+                                  prefillSeconds, avgRequestLatency,
+                                  p95RequestLatency, avgFirstTokenSeconds,
+                                  p95FirstTokenSeconds, avgTokenGapSeconds,
+                                  p95TokenGapSeconds, firstTokenLatency,
+                                  completionSeconds, sloDeferrals, chunkSlices,
+                                  decodeOvertakes, maxDecodeXpuWaitSeconds,
+                                  xpuPrefillBusySeconds, simEvents, truncated,
+                                  classLatencies, tenantOccupancy,
+                                  budgetDeferrals, tierInversions,
+                                  maxTierInversionWaitSeconds,
+                                  decodePreemptSlices, prefixHits,
+                                  prefixMisses, prefixEvictions, prefixHitRate,
+                                  prefixCachedTokens, savedPrefillSeconds,
+                                  sharedKvPeakBytes, uniqueKvPeakBytes] = r;
 }
+
+/** Rows in the forEachMetric table. */
+constexpr std::size_t
+metricRowCount()
+{
+    std::size_t n = 0;
+    forEachMetric([&n](const char *, auto, MetricRule) { ++n; });
+    return n;
+}
+
+static_assert(metricRowCount() + kNonScalarFields == kEngineResultFields,
+              "every scalar EngineResult field needs one forEachMetric "
+              "row in system/engine.hh");
 
 inline void
 expectSameResult(const EngineResult &a, const EngineResult &b)
 {
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.simulatedSeconds, b.simulatedSeconds);
-    EXPECT_EQ(a.generatedTokens, b.generatedTokens);
-    EXPECT_EQ(a.completedRequests, b.completedRequests);
-    EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
-    EXPECT_EQ(a.macUtilization, b.macUtilization);
-    EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
-    EXPECT_EQ(a.attentionSeconds, b.attentionSeconds);
-    EXPECT_EQ(a.fcSeconds, b.fcSeconds);
-    expectSameEnergy(a.attentionEnergy, b.attentionEnergy);
-    expectSameEnergy(a.fcEnergy, b.fcEnergy);
-    EXPECT_EQ(a.prefillSeconds, b.prefillSeconds);
-    EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency);
-    EXPECT_EQ(a.p95RequestLatency, b.p95RequestLatency);
-    EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds);
-    EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
-    EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
-    EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
+    forEachMetric([&](const char *name, auto field, MetricRule) {
+        EXPECT_EQ(a.*field, b.*field) << name;
+    });
     EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
     EXPECT_EQ(a.completionSeconds, b.completionSeconds);
-
-    EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
-    EXPECT_EQ(a.chunkSlices, b.chunkSlices);
-    EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);
-    EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds);
-    EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds);
-    EXPECT_EQ(a.simEvents, b.simEvents);
-    EXPECT_EQ(a.truncated, b.truncated);
 
     ASSERT_EQ(a.classLatencies.size(), b.classLatencies.size());
     for (std::size_t i = 0; i < a.classLatencies.size(); ++i) {
@@ -84,20 +100,6 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
         EXPECT_EQ(ta.admittedRequests, tb.admittedRequests);
         EXPECT_EQ(ta.budgetDeferrals, tb.budgetDeferrals);
     }
-    EXPECT_EQ(a.budgetDeferrals, b.budgetDeferrals);
-    EXPECT_EQ(a.tierInversions, b.tierInversions);
-    EXPECT_EQ(a.maxTierInversionWaitSeconds,
-              b.maxTierInversionWaitSeconds);
-    EXPECT_EQ(a.decodePreemptSlices, b.decodePreemptSlices);
-
-    EXPECT_EQ(a.prefixHits, b.prefixHits);
-    EXPECT_EQ(a.prefixMisses, b.prefixMisses);
-    EXPECT_EQ(a.prefixEvictions, b.prefixEvictions);
-    EXPECT_EQ(a.prefixHitRate, b.prefixHitRate);
-    EXPECT_EQ(a.prefixCachedTokens, b.prefixCachedTokens);
-    EXPECT_EQ(a.savedPrefillSeconds, b.savedPrefillSeconds);
-    EXPECT_EQ(a.sharedKvPeakBytes, b.sharedKvPeakBytes);
-    EXPECT_EQ(a.uniqueKvPeakBytes, b.uniqueKvPeakBytes);
 }
 
 } // namespace pimphony

@@ -382,8 +382,7 @@ TEST(XpuStageDevice, FifoCountsPrefillChargeAtSubmit)
     // A FIFO timeline serves every chunk whole, in submission order,
     // so the prefill charge is known (and summed in the same order)
     // at submit. Decode FC shares are not prefill work.
-    XpuModel model(XpuConfig::neupimsNpu());
-    XpuStageDevice dev("x", model);
+    XpuStageDevice dev("x");
     sim::EventQueue q;
     sim::WorkItem chunk;
     chunk.kind = sim::WorkItem::Kind::PrefillChunk;
@@ -421,9 +420,8 @@ TEST(XpuStageDevice, ArbitratedCountsPrefillAtFinalSlice)
 {
     // Under arbitration a chunk's service is relocated in event
     // time; its charge counts only when its final slice completes.
-    XpuModel model(XpuConfig::neupimsNpu());
     HalfSecondSlices arbiter;
-    XpuStageDevice dev("x", model, &arbiter);
+    XpuStageDevice dev("x", &arbiter);
     sim::EventQueue q;
     sim::WorkItem chunk;
     chunk.kind = sim::WorkItem::Kind::PrefillChunk;
@@ -455,8 +453,8 @@ TEST(StagePipeline, CohortsOverlapAcrossStages)
     sim::WorkItem b;
     b.cohort = 1;
     b.seconds = 1.0;
-    pipe.submitCycle(q, a, 0.0, [&](double t) { done0 = t; });
-    pipe.submitCycle(q, b, 0.0, [&](double t) { done1 = t; });
+    pipe.submitChain(q, {a, a}, 0.0, [&](double t) { done0 = t; });
+    pipe.submitChain(q, {b, b}, 0.0, [&](double t) { done1 = t; });
     q.runAll();
     // b enters stage 0 at t=1 while a occupies stage 1 -> b finishes
     // at 3, not at 4 as a serialized schedule would.
@@ -554,10 +552,7 @@ TEST(ChunkedPrefillEdge, ZeroContextRequestSkipsPrefill)
 
 TEST(PipelineStage, XpuShadowTrailsPimTimeline)
 {
-    PimModuleConfig mcfg;
-    PimModuleModel pim(mcfg);
-    XpuModel xpu(XpuConfig::neupimsNpu());
-    PipelineStage stage("s", pim, &xpu);
+    PipelineStage stage("s");
 
     sim::EventQueue q;
     sim::WorkItem w;
@@ -566,9 +561,8 @@ TEST(PipelineStage, XpuShadowTrailsPimTimeline)
     double done = stage.submit(q, w, 0.0);
     EXPECT_DOUBLE_EQ(done, 2.0);
     // The FC share lands on the xPU timeline without gating the stage.
-    ASSERT_NE(stage.xpu(), nullptr);
-    EXPECT_DOUBLE_EQ(stage.xpu()->busySeconds(), 0.5);
-    EXPECT_LE(stage.xpu()->busyUntil(), stage.busyUntil());
+    EXPECT_DOUBLE_EQ(stage.xpu().busySeconds(), 0.5);
+    EXPECT_LE(stage.xpu().busyUntil(), stage.busyUntil());
 }
 
 // --- Engine anchors: event-driven vs the lockstep oracle. ------------
